@@ -35,13 +35,13 @@
 //       acceptance pin), incremental apply_move throughput, and the share
 //       of a full race's backend wall time spent in evaluation.
 //  (10) Parallel multilevel gmap: the VieM-style mapper on an 80x80 grid
-//       graph (6400 vertices, 64 parts), serial vs threaded, deterministic
-//       mode — the two runs must be bit-identical (checked in-bench), and
-//       the partition checksum pins plan quality across commits. The >= 2x
-//       speedup gate (the ISSUE 9 acceptance pin) only binds on machines
-//       with >= 8 hardware threads; below that (shared CI runners, 1-core
-//       boxes) the gate relaxes to "parallel not slower than ~0.6x serial"
-//       so oversubscription overhead is still bounded.
+//       graph (6400 vertices, 64 parts), serial (no pool) vs an injected
+//       ThreadPool — the two runs must be bit-identical (checked
+//       in-bench), and the partition checksum pins plan quality across
+//       commits. The >= 2x speedup gate (the ISSUE 9 acceptance pin) only
+//       binds on machines with >= 8 hardware threads; below that (shared
+//       CI runners, 1-core boxes) the gate relaxes to "parallel not slower
+//       than ~0.6x serial" so oversubscription overhead is still bounded.
 //  (11) Two-tier speculative serving: the section-6 dedup storm re-served
 //       through map_async(speculate=true). Per-request first-tier latency
 //       (submission -> provisional plan) vs a blocking baseline that waits
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     const auto par_results = parallel.evaluate_all(grid, stencil, alloc);
     const double par_s = seconds_since(t1);
 
-    const int winner = PortfolioEngine::select_winner(Objective::kLexJmaxJsum, par_results);
+    const int winner = select_winner(Objective::kLexJmaxJsum, par_results);
     seq_total += seq_s;
     par_total += par_s;
     race_winners += ni.name + "=" +
@@ -308,8 +308,8 @@ int main(int argc, char** argv) {
 
   std::size_t timed_out = 0;
   for (const BackendResult& r : budgeted_results) timed_out += r.timed_out ? 1 : 0;
-  const int wu = PortfolioEngine::select_winner(Objective::kLexJmaxJsum, unlimited_results);
-  const int wb = PortfolioEngine::select_winner(Objective::kLexJmaxJsum, budgeted_results);
+  const int wu = select_winner(Objective::kLexJmaxJsum, unlimited_results);
+  const int wb = select_winner(Objective::kLexJmaxJsum, budgeted_results);
   std::cout << "Budgeted race (64x64 hops, 5 ms/backend): unlimited "
             << std::setprecision(1) << unlimited_s * 1e3 << " ms -> budgeted "
             << budgeted_s * 1e3 << " ms (" << std::setprecision(2)
@@ -848,9 +848,9 @@ int main(int argc, char** argv) {
             std::to_string(square_bench.cost.bottleneck)));
 
   // ---- (10) parallel multilevel gmap -------------------------------------
-  // Serial vs threaded map_graph on an 80x80 grid graph into 64 parts,
-  // deterministic mode: the results must be bit-identical (the contract the
-  // parallel decomposition is built around), and on real multi-core
+  // Serial (no pool) vs pooled map_graph on an 80x80 grid graph into 64
+  // parts: the results must be bit-identical (the contract the parallel
+  // decomposition is built around), and on real multi-core
   // hardware the threaded run must be >= 2x faster. Restarts, bisection
   // subtrees, coarsening, and initial attempts all fork, so two restarts
   // are enough to keep every thread busy.
@@ -866,28 +866,28 @@ int main(int argc, char** argv) {
   gmap_options.local_search_sweeps = 2;
   gmap_options.seed = 20260808;
 
-  gmap_options.threads = 1;
   const GeneralGraphMapper gmap_serial(gmap_options);
   const auto tgs = Clock::now();
   const std::vector<int> gmap_serial_part = gmap_serial.map_graph(gmap_graph, gmap_sizes);
   const double gmap_serial_s = seconds_since(tgs);
 
-  gmap_options.threads = std::max(4, hw_threads);
-  const GeneralGraphMapper gmap_parallel(gmap_options);
+  ThreadPool gmap_pool(std::max(4, hw_threads));
+  GeneralGraphMapper gmap_parallel(gmap_options);
+  gmap_parallel.configure_execution(&gmap_pool, nullptr);
   const auto tgp = Clock::now();
   const std::vector<int> gmap_parallel_part =
       gmap_parallel.map_graph(gmap_graph, gmap_sizes);
   const double gmap_parallel_s = seconds_since(tgp);
 
   GRIDMAP_CHECK(gmap_parallel_part == gmap_serial_part,
-                "parallel gmap diverged from the serial result in deterministic mode");
+                "parallel gmap diverged from the serial result");
   std::string gmap_part_text;
   for (const int p : gmap_serial_part) gmap_part_text += std::to_string(p) + ",";
   const double gmap_speedup = gmap_serial_s / gmap_parallel_s;
   const bool gmap_ok = gmap_speedup >= (hw_threads >= 8 ? 2.0 : 0.6);
 
-  std::cout << "\nParallel gmap (80x80 grid graph -> 64 parts, deterministic, "
-            << gmap_options.threads << " threads on " << hw_threads
+  std::cout << "\nParallel gmap (80x80 grid graph -> 64 parts, "
+            << gmap_pool.size() << " threads on " << hw_threads
             << " hardware):\n  serial " << std::setprecision(1) << gmap_serial_s * 1e3
             << " ms -> parallel " << gmap_parallel_s * 1e3 << " ms ("
             << std::setprecision(2) << gmap_speedup << "x, gate "

@@ -7,28 +7,21 @@
 //
 // Usage:
 //   ./mapping_explorer [nodes] [ppn] [stencil] [ndims] [objective] [planfile]
-//                      [budget_ms] [historyfile] [max_backends] [gmap_threads]
+//                      [budget_ms] [historyfile] [max_backends]
 //   ./mapping_explorer 6 8 hops 2 jmax
 //   ./mapping_explorer 32 48 nn 2 lex "" 5     # 5 ms per-backend budget
 //   ./mapping_explorer 6 8 nn 2 lex "" 0 history.txt 4
-//   ./mapping_explorer 64 48 nn 2 lex "" 0 "" 0 4   # 4-thread multilevel gmap
 // Stencils: nn | hops | component. Objectives: jsum | jmax | lex.
 // budget_ms > 0 bounds each backend's remap; slow backends show "timed out".
 // historyfile enables adaptive selection: outcomes persist there across
 // runs, the "pred" column shows each backend's predicted remap time, and
 // with max_backends > 0 a warmed history prunes predicted losers ("pruned"
 // note) — run the same instance twice to see the pruned race.
-// gmap_threads parallelizes the multilevel (viem) backend on the engine's
-// shared pool (0 = auto); deterministic, so the table is identical for any
-// value — only the viem remap time moves. The notes column shows the thread
-// count the parallel backend resolved to.
-#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "core/dims_create.hpp"
 #include "core/metrics.hpp"
@@ -74,7 +67,6 @@ int main(int argc, char** argv) try {
   const std::string history_file = argc > 8 ? argv[8] : "";
   const std::size_t max_backends =
       argc > 9 ? static_cast<std::size_t>(std::atoi(argv[9])) : 0;
-  const int gmap_threads = argc > 10 ? std::atoi(argv[10]) : 0;
 
   const NodeAllocation alloc = NodeAllocation::homogeneous(nodes, ppn);
   const CartesianGrid grid(dims_create(alloc.total(), ndims));
@@ -88,7 +80,6 @@ int main(int argc, char** argv) try {
   }
   options.history_file = history_file;
   options.max_backends = max_backends;
-  options.gmap_threads = gmap_threads;
   PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
 
   std::cout << "Instance: grid";
@@ -107,14 +98,7 @@ int main(int argc, char** argv) try {
   std::cout << "\n\n";
 
   const auto results = engine.evaluate_all(grid, stencil, alloc);
-  const int winner = PortfolioEngine::select_winner(engine.objective(), results);
-
-  // What the parallel (viem) backend resolved gmap_threads to: an explicit
-  // count wins; auto follows the race pool, falling back to the hardware
-  // when the engine itself runs sequentially (mirrors GeneralGraphMapper).
-  const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const int gmap_resolved =
-      gmap_threads != 0 ? gmap_threads : (engine.threads() > 1 ? engine.threads() : hw);
+  const int winner = select_winner(engine.objective(), results);
 
   Table table({"Backend", "Jsum", "Jmax", "remap", "eval", "pred", "note"});
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -132,9 +116,6 @@ int main(int argc, char** argv) try {
       note = "cancelled (could not win)";
     } else if (static_cast<int>(i) == winner) {
       note = "<- winner";
-    }
-    if (r.name == "viem") {  // the one backend that uses gmap_threads
-      note += (note.empty() ? "" : ", ") + std::to_string(gmap_resolved) + " threads";
     }
     const bool ran = r.applicable && !r.failed;  // timed-out runs still show remap time
     table.add_row({r.name, r.usable() ? std::to_string(r.cost.jsum) : "-",

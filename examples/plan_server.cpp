@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -76,6 +77,20 @@ int usage() {
                " [--threads T] [--queue CAP] [--workers W] [--trace FILE]"
                " [--no-metrics]\n";
   return 2;
+}
+
+/// Parses a count flag strictly: decimal digits only — no sign, no
+/// whitespace, no trailing junk — and within T's range. `--queue -1` must
+/// not wrap to an unbounded queue, nor `--threads 2x` pass as 2.
+template <class T>
+T parse_count(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || text.front() == '-') {
+    throw std::invalid_argument(flag + " wants a non-negative integer, got '" + text + "'");
+  }
+  return value;
 }
 
 int make_unix_listener(const std::string& path) {
@@ -163,18 +178,18 @@ int main(int argc, char** argv) {
       } else if (flag == "--no-metrics") {
         engine_options.obs.metrics = false;
       } else if (flag == "--tcp") {
-        tcp_port = std::stoi(value());
+        tcp_port = parse_count<int>(flag, value());
         if (tcp_port < 1 || tcp_port > 65535) {
           throw std::invalid_argument("--tcp wants a port in [1, 65535]");
         }
       } else if (flag == "--shards") {
-        shards = std::stoi(value());
+        shards = parse_count<int>(flag, value());
       } else if (flag == "--threads") {
-        engine_options.threads = std::stoi(value());
+        engine_options.threads = parse_count<int>(flag, value());
       } else if (flag == "--queue") {
-        service_options.queue_capacity = std::stoul(value());
+        service_options.queue_capacity = parse_count<std::size_t>(flag, value());
       } else if (flag == "--workers") {
-        service_options.workers = std::stoi(value());
+        service_options.workers = parse_count<int>(flag, value());
       } else {
         std::cerr << "unknown flag: " << flag << "\n";
         return usage();

@@ -33,14 +33,14 @@ class Mapper {
   virtual std::string_view name() const noexcept = 0;
 
   /// Offers shared-memory execution resources for subsequent remap() calls:
-  /// a shared worker pool the mapper may fork subtasks onto (may be null),
-  /// a target thread count (0 = auto: the pool's size, else the hardware),
-  /// and a trace recorder for backend-internal spans (may be null). The
-  /// default implementation ignores the offer — mappers stay serial unless
-  /// they opt in (GeneralGraphMapper does). The engine calls this on each
-  /// per-run mapper instance right after creating it; implementations need
-  /// not support being reconfigured concurrently with remap().
-  virtual void configure_execution(engine::ThreadPool* /*pool*/, int /*threads*/,
+  /// a shared worker pool the mapper may fork subtasks onto (null = serial;
+  /// the pool's size is the thread count) and a trace recorder for
+  /// backend-internal spans (may be null). The default implementation
+  /// ignores the offer — mappers stay serial unless they opt in
+  /// (GeneralGraphMapper does). The engine calls this on each per-run
+  /// mapper instance right after creating it; implementations need not
+  /// support being reconfigured concurrently with remap().
+  virtual void configure_execution(engine::ThreadPool* /*pool*/,
                                    obs::TraceRecorder* /*trace*/) {}
 
   /// Whether the algorithm can handle this instance (e.g. Nodecart requires a

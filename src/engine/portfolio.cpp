@@ -29,8 +29,6 @@ int resolve_threads(int requested) {
 void validate_options(const EngineOptions& options) {
   GRIDMAP_CHECK(options.threads >= 0,
                 "EngineOptions::threads must be >= 0 (0 = hardware concurrency)");
-  GRIDMAP_CHECK(options.gmap_threads >= 0,
-                "EngineOptions::gmap_threads must be >= 0 (0 = auto)");
   GRIDMAP_CHECK(options.backend_budget.count() >= 0,
                 "EngineOptions::backend_budget must not be negative");
   const SelectorOptions& sel = options.selector;
@@ -133,11 +131,6 @@ std::vector<BackendResult> PortfolioEngine::evaluate_all(const CartesianGrid& gr
   return results;
 }
 
-int PortfolioEngine::select_winner(Objective objective,
-                                   const std::vector<BackendResult>& results) {
-  return engine::select_winner(objective, results);
-}
-
 std::shared_ptr<const MappingPlan> PortfolioEngine::map_one(
     const CartesianGrid& grid, const Stencil& stencil, const NodeAllocation& alloc,
     const HistorySnapshot* snapshot, const std::atomic<bool>* cancel) {
@@ -155,12 +148,6 @@ std::shared_ptr<const MappingPlan> PortfolioEngine::map_one(
   const std::vector<BackendResult> results = race.collect();
   RecordStage::record(env, selection.features, results);
   return RecordStage::commit(env, probe.signature, results);
-}
-
-std::shared_ptr<const MappingPlan> PortfolioEngine::map(const CartesianGrid& grid,
-                                                        const Stencil& stencil,
-                                                        const NodeAllocation& alloc) {
-  return map_one(grid, stencil, alloc, nullptr, nullptr);
 }
 
 std::shared_ptr<const MappingPlan> PortfolioEngine::speculate(const CartesianGrid& grid,

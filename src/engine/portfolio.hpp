@@ -95,18 +95,20 @@ struct BackendResult {
   }
 };
 
+/// Index into `results` of the winner under `objective`: the first (in
+/// registration order) usable result that no later result strictly beats.
+/// Returns -1 when no result is usable.
+int select_winner(Objective objective, const std::vector<BackendResult>& results);
+
 struct EngineOptions {
   Objective objective = Objective::kLexJmaxJsum;
   /// Worker threads for the portfolio race; <= 1 evaluates sequentially on
-  /// the calling thread, 0 picks std::thread::hardware_concurrency().
+  /// the calling thread, 0 picks std::thread::hardware_concurrency(). The
+  /// same pool is handed to every backend via Mapper::configure_execution
+  /// (only the multilevel gmap backend forks onto it), so the race never
+  /// multiplies thread counts; without a pool gmap runs serially. Plans are
+  /// bit-identical for any value.
   int threads = 0;
-  /// Thread count handed to each backend via Mapper::configure_execution
-  /// (only the multilevel gmap backend uses it today). 0 = auto: the race
-  /// pool's size when one exists, else the hardware. Backends fork onto the
-  /// engine's shared pool, so the race never multiplies thread counts. The
-  /// gmap backend stays in deterministic mode, so plans remain bit-identical
-  /// for any value.
-  int gmap_threads = 0;
   /// LRU plan-cache capacity in plans; 0 disables caching.
   std::size_t cache_capacity = 256;
   /// Per-backend wall-clock budget for `remap` on one instance; zero means
@@ -186,17 +188,14 @@ class PortfolioEngine {
   /// Races all applicable backends (cache-aware) and returns the winning
   /// plan. Throws when no backend is applicable to the instance (or every
   /// applicable backend timed out).
-  std::shared_ptr<const MappingPlan> map(const CartesianGrid& grid, const Stencil& stencil,
-                                         const NodeAllocation& alloc);
-
-  /// map() that additionally watches an external cancellation flag (the
+  ///
+  /// A non-null `cancel` is an external cancellation flag (the
   /// MappingService wires an abandoned request's CancelSource here). Once
   /// the flag is set the race stops cooperatively and CancelledError is
   /// thrown; a cancelled request never records outcomes or caches a plan.
-  /// A null `cancel` is exactly map().
   std::shared_ptr<const MappingPlan> map(const CartesianGrid& grid, const Stencil& stencil,
                                          const NodeAllocation& alloc,
-                                         const std::atomic<bool>* cancel);
+                                         const std::atomic<bool>* cancel = nullptr);
 
   /// The speculative fast path: returns a *provisional* plan from one cheap
   /// synchronous backend run on the calling thread (cached plans are served
@@ -231,11 +230,6 @@ class PortfolioEngine {
   /// on a backend. Usable outcomes are recorded into the history.
   std::vector<BackendResult> evaluate_all(const CartesianGrid& grid, const Stencil& stencil,
                                           const NodeAllocation& alloc);
-
-  /// Index into `results` of the winner under `objective`: the first (in
-  /// registration order) usable result that no later result strictly beats.
-  /// Returns -1 when no result is usable.
-  static int select_winner(Objective objective, const std::vector<BackendResult>& results);
 
   const MapperRegistry& registry() const noexcept { return registry_; }
   const EngineOptions& options() const noexcept { return options_; }

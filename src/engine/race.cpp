@@ -195,8 +195,7 @@ BackendResult RaceStage::run_backend(const std::string& name, std::size_t index,
     const std::unique_ptr<Mapper> mapper = env_.registry.create(name);
     // Backends that can use shared-memory parallelism (gmap) fork onto the
     // race's own pool — one pool for the whole engine, never nested ones.
-    mapper->configure_execution(env_.pool, env_.options.gmap_threads,
-                                traced ? &tel->trace() : nullptr);
+    mapper->configure_execution(env_.pool, traced ? &tel->trace() : nullptr);
     if (!mapper->applicable(grid_, stencil_, alloc_)) return result;  // skipped
     result.applicable = true;
 
@@ -381,7 +380,7 @@ std::shared_ptr<const MappingPlan> SpeculateStage::run(const StageEnv& env,
       const std::unique_ptr<Mapper> mapper = env.registry.create(name);
       // Strictly on the calling thread: speculation must answer fast without
       // contending with the background race for the shared pool.
-      mapper->configure_execution(nullptr, 1, nullptr);
+      mapper->configure_execution(nullptr, nullptr);
       if (!mapper->applicable(grid, stencil, alloc)) continue;
       ++attempts;
       ExecContext ctx = env.options.speculation_budget.count() > 0

@@ -192,9 +192,4 @@ struct RecordStage {
                                                    const std::vector<BackendResult>& results);
 };
 
-/// Index into `results` of the winner under `objective`: the first (in
-/// registration order) usable result that no later result strictly beats.
-/// Returns -1 when no result is usable.
-int select_winner(Objective objective, const std::vector<BackendResult>& results);
-
 }  // namespace gridmap::engine

@@ -42,10 +42,9 @@ class MapperRegistry {
   static MapperRegistry with_default_backends();
 
   /// The same line-up with a custom gmap (viem) configuration — how callers
-  /// tune the multilevel backend (restarts, determinism, standalone thread
-  /// count) without re-registering the portfolio by hand. Note the engine
-  /// still overrides the per-run pool and thread count through
-  /// Mapper::configure_execution / EngineOptions::gmap_threads.
+  /// tune the multilevel backend (restarts, search depth, seed) without
+  /// re-registering the portfolio by hand. The engine hands each run its
+  /// race pool through Mapper::configure_execution.
   static MapperRegistry with_default_backends(const GmapOptions& gmap);
 
  private:

@@ -1,11 +1,9 @@
 #include "gmap/gmap.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <random>
 #include <string>
-#include <thread>
 
 #include "engine/thread_pool.hpp"
 #include "graph/bisection.hpp"
@@ -189,32 +187,11 @@ std::vector<int> GeneralGraphMapper::map_graph(const CsrGraph& graph,
   std::vector<int> vertices(static_cast<std::size_t>(graph.num_vertices()));
   std::iota(vertices.begin(), vertices.end(), 0);
 
-  // Resolve the execution context: the engine-injected pool wins; used
-  // standalone with threads > 1, a pool scoped to this call is spun up
-  // (workers = threads - 1 because the caller works too). Small graphs
-  // skip pool creation entirely.
-  const int requested = configured_threads_ >= 0 ? configured_threads_ : options_.threads;
-  int threads = requested;
-  if (threads == 0) {
-    threads = shared_pool_ != nullptr
-                  ? shared_pool_->size()
-                  : static_cast<int>(std::thread::hardware_concurrency());
-  }
-  threads = std::max(1, threads);
-  std::unique_ptr<engine::ThreadPool> owned_pool;
-  engine::ThreadPool* pool = shared_pool_;
-  if (pool == nullptr && threads > 1 &&
-      graph.num_vertices() >= options_.parallel_min_vertices) {
-    owned_pool = std::make_unique<engine::ThreadPool>(threads - 1);
-    pool = owned_pool.get();
-  }
   GraphParallel par;
-  par.pool = pool;
-  par.threads = threads;
-  par.deterministic = options_.deterministic;
+  par.pool = pool_;
   par.min_vertices = options_.parallel_min_vertices;
   par.trace = trace_;
-  const GraphParallel* par_ptr = pool != nullptr && threads > 1 ? &par : nullptr;
+  const GraphParallel* par_ptr = par.threads() > 1 ? &par : nullptr;
 
   // Restarts are pure functions of (graph, part_sizes, restart seed); the
   // serial loop's first-strict-minimum winner is reproduced by reducing

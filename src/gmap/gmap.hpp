@@ -10,18 +10,14 @@
 // the specialized algorithms, and a runtime orders of magnitude larger.
 //
 // Shared-memory parallelism: restarts, the recursive-bisection subtrees,
-// coarsening, and the initial attempts all run as fork-join tasks on a
-// worker pool — either the PortfolioEngine's shared pool injected via
-// configure_execution() (so racing many instances never multiplies thread
-// counts) or a pool scoped to one map_graph call when used standalone with
-// GmapOptions::threads > 1. In the default deterministic mode every
-// parallel phase either computes order-independent per-vertex candidates
-// or runs pure-function subproblems reduced in a fixed order, so the
-// output is bit-identical to the serial code for any thread count; the
-// fast mode (deterministic = false) additionally enables CAS matching and
-// conflict-detecting parallel FM, which may change results run-to-run but
-// preserves every structural invariant (valid permutation, exact part
-// sizes). See docs/PERFORMANCE.md, "Parallel multilevel gmap".
+// coarsening, and the initial attempts all run as fork-join tasks on the
+// worker pool injected via configure_execution() — the PortfolioEngine's
+// shared pool (so racing many instances never multiplies thread counts) or
+// one a standalone caller builds. No pool means serial. Every parallel
+// phase either computes order-independent per-vertex candidates or runs
+// pure-function subproblems reduced in a fixed order, so the output is
+// bit-identical to the serial code for any pool size. See
+// docs/PERFORMANCE.md, "Parallel multilevel gmap".
 #pragma once
 
 #include <cstdint>
@@ -44,19 +40,9 @@ struct GmapOptions {
   /// the default invests heavily in restarts.
   int restarts = 8;
   std::uint64_t seed = 12345;
-  /// Worker threads for the multilevel phases when used standalone: 1 =
-  /// serial (default), 0 = hardware concurrency. Ignored once the engine
-  /// injects its shared pool via configure_execution(), which overrides
-  /// both the pool and the count.
-  int threads = 1;
-  /// Deterministic mode (default): parallel runs are bit-identical to the
-  /// serial algorithm and to themselves across thread counts. Fast mode
-  /// (false) lifts that to "structurally valid and balanced" in exchange
-  /// for CAS matching and parallel FM.
-  bool deterministic = true;
   /// (Sub)problems below this many vertices take the serial path even with
-  /// threads available — forking overhead beats the win on small graphs.
-  /// Tests lower it to force parallel paths on small instances.
+  /// a pool — forking overhead beats the win on small graphs. Tests lower
+  /// it to force parallel paths on small instances.
   int parallel_min_vertices = 2048;
 
   /// A cheap configuration for tests.
@@ -80,12 +66,10 @@ class GeneralGraphMapper final : public Mapper {
   Remapping remap(const CartesianGrid& grid, const Stencil& stencil,
                   const NodeAllocation& alloc, ExecContext& ctx) const override;
 
-  /// Adopts the engine's shared pool + resolved thread count + trace
-  /// recorder; overrides GmapOptions::threads for subsequent remap()s.
-  void configure_execution(engine::ThreadPool* pool, int threads,
-                           obs::TraceRecorder* trace) override {
-    shared_pool_ = pool;
-    configured_threads_ = threads < 0 ? 0 : threads;
+  /// Adopts the worker pool (its size is the thread count) and trace
+  /// recorder for subsequent remap()s and map_graph()s.
+  void configure_execution(engine::ThreadPool* pool, obs::TraceRecorder* trace) override {
+    pool_ = pool;
     trace_ = trace;
   }
 
@@ -109,9 +93,8 @@ class GeneralGraphMapper final : public Mapper {
                             ExecContext& ctx) const;
 
   GmapOptions options_;
-  engine::ThreadPool* shared_pool_ = nullptr;  ///< injected, non-owning
-  int configured_threads_ = -1;                ///< -1: use GmapOptions::threads
-  obs::TraceRecorder* trace_ = nullptr;        ///< injected, non-owning
+  engine::ThreadPool* pool_ = nullptr;   ///< injected, non-owning
+  obs::TraceRecorder* trace_ = nullptr;  ///< injected, non-owning
 };
 
 }  // namespace gridmap

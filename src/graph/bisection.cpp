@@ -159,16 +159,7 @@ std::vector<int> multilevel_bisection(const CsrGraph& graph, const BisectionOpti
     }
     fm.slack = (level == 0 && options.exact_balance) ? 0 : max_vw;
     if (fm.slack == 0) rebalance_exact(fine, fine_part, options.target0, ctx);
-    // Fast mode refines big levels with the conflict-detecting parallel FM;
-    // slack 0 (the exact-balance finest level) stays serial — single flips
-    // always unbalance, only serial FM's alternating sequences make
-    // progress there. Deterministic mode always refines serially.
-    if (par != nullptr && !par->deterministic && fm.slack > 0 &&
-        par->active(fine.num_vertices())) {
-      fm_refine_parallel(fine, fine_part, options.target0, fm, *par, ctx);
-    } else {
-      fm_refine(fine, fine_part, options.target0, fm, ctx);
-    }
+    fm_refine(fine, fine_part, options.target0, fm, ctx);
     part = std::move(fine_part);
   }
   if (hierarchy.empty()) {

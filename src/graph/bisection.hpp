@@ -6,10 +6,8 @@
 // region-growing attempts parallelize internally — the attempts draw their
 // seed vertices from the serial RNG sequence first and are then pure
 // functions run as independent tasks, reduced first-strict-minimum in
-// attempt order, so the deterministic mode stays bit-identical to the
-// serial code for any thread count. In fast mode (par->deterministic ==
-// false) large uncoarsening levels refine with the conflict-detecting
-// fm_refine_parallel instead of serial FM.
+// attempt order, so the result stays bit-identical to the serial code for
+// any thread count. FM refinement always runs serially.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "graph/coarsen.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <random>
 #include <string>
@@ -91,63 +90,7 @@ void match_propose_commit(const CsrGraph& graph, const std::vector<int>& order,
   }
 }
 
-// Fast-mode parallel matching: chunks of the shuffled order claim match
-// partners with CAS. A thread owns the vertices of its chunk: it claims v
-// first (match[v]: -1 -> u), then the partner (match[u]: -1 -> v). If the
-// partner claim fails the thread releases v and rescans — unless the
-// failure was the symmetric race (u claimed v concurrently), which both
-// sides detect and keep, avoiding the classic pair livelock. Matches other
-// than a thread's own transient claim of its current vertex never revert,
-// so each rescan sees strictly more matched neighbors and the per-vertex
-// retry loop is bounded by its degree. Valid matching, schedule-dependent.
-void match_cas(const CsrGraph& graph, const std::vector<int>& order,
-               std::vector<int>& match, ExecContext& ctx, const GraphParallel& par) {
-  const int n = graph.num_vertices();
-  std::vector<std::atomic<int>> atomic_match(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    atomic_match[static_cast<std::size_t>(v)].store(-1, std::memory_order_relaxed);
-  }
-
-  engine::parallel_ranges(par.pool, n, par.chunks(), [&](int begin, int end, int /*chunk*/) {
-    ExecContext task_ctx = ctx;
-    for (int i = begin; i < end; ++i) {
-      task_ctx.checkpoint();
-      const int v = order[static_cast<std::size_t>(i)];
-      auto& slot_v = atomic_match[static_cast<std::size_t>(v)];
-      if (slot_v.load(std::memory_order_acquire) >= 0) continue;
-      for (;;) {
-        const int u = best_neighbor(graph, v, [&](int w) {
-          return atomic_match[static_cast<std::size_t>(w)].load(std::memory_order_acquire) < 0;
-        });
-        int expected = -1;
-        if (!slot_v.compare_exchange_strong(expected, u >= 0 ? u : v,
-                                            std::memory_order_acq_rel)) {
-          break;  // a neighbor's owner claimed v as its partner meanwhile
-        }
-        if (u < 0) break;  // no free neighbor: v stays alone
-        expected = -1;
-        auto& slot_u = atomic_match[static_cast<std::size_t>(u)];
-        if (slot_u.compare_exchange_strong(expected, v, std::memory_order_acq_rel)) {
-          break;  // pair formed
-        }
-        if (expected == v) break;  // symmetric race: u already claimed v — same pair
-        slot_v.store(-1, std::memory_order_release);  // u was taken; release v, rescan
-      }
-    }
-  });
-
-  for (int v = 0; v < n; ++v) {
-    match[static_cast<std::size_t>(v)] = atomic_match[static_cast<std::size_t>(v)].load(
-        std::memory_order_relaxed);
-    GRIDMAP_CHECK(match[static_cast<std::size_t>(v)] >= 0, "CAS matching left a vertex open");
-  }
-  for (int v = 0; v < n; ++v) {
-    GRIDMAP_CHECK(match[static_cast<std::size_t>(match[static_cast<std::size_t>(v)])] == v,
-                  "CAS matching is not mutual");
-  }
-}
-
-// The coarse edge list in serial vertex order. Parallel mode builds one
+// The coarse edge list in serial vertex order. The parallel path builds one
 // buffer per contiguous vertex range and concatenates the buffers in range
 // order — byte-identical to the serial single-loop emission.
 std::vector<CsrGraph::WeightedEdge> build_coarse_edges(const CsrGraph& graph,
@@ -201,11 +144,7 @@ CoarseLevel coarsen_once(const CsrGraph& graph, std::uint64_t seed, ExecContext&
 
   std::vector<int> match(static_cast<std::size_t>(n), -1);
   if (par != nullptr && par->active(n)) {
-    if (par->deterministic) {
-      match_propose_commit(graph, order, match, ctx, *par);
-    } else {
-      match_cas(graph, order, match, ctx, *par);
-    }
+    match_propose_commit(graph, order, match, ctx, *par);
   } else {
     match_serial(graph, order, match, ctx);
   }

@@ -3,18 +3,16 @@
 // built on).
 //
 // Parallelism: every entry point takes an optional GraphParallel context.
-// With par->deterministic (the default) the matching runs as a parallel
-// *propose* phase — each vertex's globally best neighbor, ignoring match
-// state, computed independently per vertex range — followed by a sequential
-// *commit* pass replaying the serial greedy order: an unmatched vertex
-// whose proposed partner is still free takes it (provably the serial
-// choice, since the proposal dominates every unmatched neighbor too), and
-// otherwise falls back to the serial rescan. The result is bit-identical
-// to the serial matching for any thread count. With deterministic off, the
-// commit pass is replaced by chunked CAS claiming of match partners —
-// faster, valid, but schedule-dependent. Contraction builds its edge list
-// in parallel per contiguous vertex range and concatenates ranges in
-// order, which reproduces the serial edge order exactly in both modes.
+// With a pool the matching runs as a parallel *propose* phase — each
+// vertex's globally best neighbor, ignoring match state, computed
+// independently per vertex range — followed by a sequential *commit* pass
+// replaying the serial greedy order: an unmatched vertex whose proposed
+// partner is still free takes it (provably the serial choice, since the
+// proposal dominates every unmatched neighbor too), and otherwise falls
+// back to the serial rescan. The result is bit-identical to the serial
+// matching for any thread count. Contraction builds its edge list in
+// parallel per contiguous vertex range and concatenates ranges in order,
+// which reproduces the serial edge order exactly.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,6 @@
 #include <limits>
 #include <queue>
 
-#include "engine/thread_pool.hpp"
-
 namespace gridmap {
 
 namespace {
@@ -174,119 +172,6 @@ std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
       GRIDMAP_CHECK(gain[static_cast<std::size_t>(v)] == move_gain(graph, part, v),
                     "maintained FM gain diverged after rollback");
     }
-  }
-  return total_improvement;
-}
-
-std::int64_t fm_refine_parallel(const CsrGraph& graph, std::vector<int>& part,
-                                std::int64_t target0, const FmOptions& options,
-                                const GraphParallel& par, ExecContext& ctx,
-                                FmParallelStats* stats) {
-  const int n = graph.num_vertices();
-  GRIDMAP_CHECK(static_cast<int>(part.size()) == n, "partition size mismatch");
-
-  std::int64_t weight0 = 0;
-  for (int v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == 0) weight0 += graph.vertex_weight(v);
-  }
-
-  struct Proposal {
-    std::int64_t gain;
-    int vertex;
-  };
-  // Highest gain first; ties towards the lower vertex id.
-  const auto better = [](const Proposal& a, const Proposal& b) {
-    return a.gain > b.gain || (a.gain == b.gain && a.vertex < b.vertex);
-  };
-
-  std::int64_t total_improvement = 0;
-  std::vector<std::vector<Proposal>> buckets(static_cast<std::size_t>(par.chunks()));
-  std::vector<std::int64_t> touched(static_cast<std::size_t>(n), -1);  // round of last touch
-
-  for (int round = 0; round < options.max_passes; ++round) {
-    if (stats != nullptr) stats->rounds = round + 1;
-
-    // Propose: each stripe of the vertex range scans its boundary vertices
-    // (gain > 0 implies external edges) against the round-start partition
-    // and sorts its bucket — all stripes independent and read-only on
-    // `part`, so they run concurrently.
-    for (auto& bucket : buckets) bucket.clear();
-    engine::parallel_ranges(par.pool, n, par.chunks(), [&](int begin, int end, int chunk) {
-      ExecContext task_ctx = ctx;
-      std::vector<Proposal>& bucket = buckets[static_cast<std::size_t>(chunk)];
-      for (int v = begin; v < end; ++v) {
-        task_ctx.checkpoint();
-        const std::int64_t g = move_gain(graph, part, v);
-        if (g > 0) bucket.push_back({g, v});
-      }
-      std::sort(bucket.begin(), bucket.end(), better);
-    });
-
-    // Commit: k-way merge of the sorted buckets, best gain first. A move
-    // wins only if this round's earlier winners left its whole
-    // neighborhood untouched — then its proposed gain is still exact —
-    // and the balance invariant survives the flip. Losers are simply
-    // re-proposed next round if still profitable.
-    struct Head {
-      std::int64_t gain;
-      int vertex;
-      int bucket;
-    };
-    const auto head_worse = [](const Head& a, const Head& b) {
-      return a.gain < b.gain || (a.gain == b.gain && a.vertex > b.vertex);
-    };
-    std::priority_queue<Head, std::vector<Head>, decltype(head_worse)> merge(head_worse);
-    std::vector<std::size_t> cursor(buckets.size(), 0);
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      if (!buckets[b].empty()) {
-        merge.push({buckets[b][0].gain, buckets[b][0].vertex, static_cast<int>(b)});
-        cursor[b] = 1;
-      }
-    }
-
-    std::int64_t committed_this_round = 0;
-    while (!merge.empty()) {
-      ctx.checkpoint();
-      const Head head = merge.top();
-      merge.pop();
-      const auto b = static_cast<std::size_t>(head.bucket);
-      if (cursor[b] < buckets[b].size()) {
-        const Proposal& next = buckets[b][cursor[b]++];
-        merge.push({next.gain, next.vertex, head.bucket});
-      }
-
-      if (stats != nullptr) ++stats->proposed;
-      const int v = head.vertex;
-      bool conflict = touched[static_cast<std::size_t>(v)] == round;
-      const auto nbs = graph.neighbors(v);
-      for (std::size_t i = 0; i < nbs.size() && !conflict; ++i) {
-        conflict = touched[static_cast<std::size_t>(nbs[i])] == round;
-      }
-      if (conflict) {
-        if (stats != nullptr) ++stats->rejected_conflict;
-        continue;
-      }
-      const std::int64_t w = graph.vertex_weight(v);
-      const std::int64_t new_weight0 =
-          part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
-      const std::int64_t new_imbalance = std::llabs(new_weight0 - target0);
-      if (new_imbalance > options.slack &&
-          new_imbalance >= std::llabs(weight0 - target0)) {
-        if (stats != nullptr) ++stats->rejected_balance;
-        continue;
-      }
-
-      part[static_cast<std::size_t>(v)] ^= 1;
-      weight0 = new_weight0;
-      total_improvement += head.gain;
-      committed_this_round += 1;
-      if (stats != nullptr) ++stats->committed;
-      touched[static_cast<std::size_t>(v)] = round;
-      for (std::size_t i = 0; i < nbs.size(); ++i) {
-        touched[static_cast<std::size_t>(nbs[i])] = round;
-      }
-    }
-    if (committed_this_round == 0) break;
   }
   return total_improvement;
 }

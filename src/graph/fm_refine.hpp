@@ -1,6 +1,5 @@
 // Fiduccia–Mattheyses style 2-way refinement with balance constraints and
-// per-pass rollback to the best feasible prefix, plus a conflict-detecting
-// parallel variant for the gmap fast mode.
+// per-pass rollback to the best feasible prefix.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +7,6 @@
 
 #include "core/exec_context.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/parallel.hpp"
 
 namespace gridmap {
 
@@ -38,40 +36,6 @@ struct FmOptions {
 std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
                        std::int64_t target0, const FmOptions& options,
                        ExecContext& ctx = ExecContext::none());
-
-/// Outcome counters of one fm_refine_parallel call (all rounds summed).
-struct FmParallelStats {
-  int rounds = 0;               ///< propose/commit rounds executed
-  std::int64_t proposed = 0;    ///< positive-gain moves proposed by stripes
-  std::int64_t committed = 0;   ///< proposals that won their neighborhood
-  std::int64_t rejected_conflict = 0;  ///< neighborhood touched by an earlier
-                                       ///< winner this round; re-queued
-  std::int64_t rejected_balance = 0;   ///< would violate the balance invariant
-};
-
-/// Fast-mode parallel refinement: each round, vertex stripes concurrently
-/// propose their positive-gain moves into per-stripe gain buckets; a
-/// sequential conflict-resolution pass merges the buckets best-gain-first
-/// and commits a move only if no earlier winner this round touched the
-/// vertex or its neighborhood (so every committed gain is exact) and the
-/// balance invariant |weight0 - target0| <= slack holds after the move
-/// (moves that strictly reduce an already-excessive imbalance are also
-/// allowed, so imbalance never grows above max(initial, slack)). Rejected
-/// moves are implicitly re-queued: the next round recomputes gains and
-/// re-proposes whatever is still profitable. Rounds stop when nothing
-/// commits or after max_passes rounds. Returns the total cut improvement
-/// (> 0 for every committed move, so the cut strictly decreases).
-///
-/// Unlike serial FM there is no negative-gain hill climbing and no
-/// rollback — this trades refinement depth for parallelism and is only
-/// used by the gmap fast mode (GmapOptions::deterministic == false);
-/// results are schedule-independent given fixed stripe boundaries but NOT
-/// bit-identical to fm_refine.
-std::int64_t fm_refine_parallel(const CsrGraph& graph, std::vector<int>& part,
-                                std::int64_t target0, const FmOptions& options,
-                                const GraphParallel& par,
-                                ExecContext& ctx = ExecContext::none(),
-                                FmParallelStats* stats = nullptr);
 
 /// Moves lowest-loss boundary vertices until side 0's weight equals target0
 /// exactly (requires unit vertex weights to be guaranteed to terminate at

@@ -310,7 +310,7 @@ TEST(Portfolio, ParallelSelectsSameWinnerAsSequentialReference) {
 
     // Sequential reference loop over evaluate_all results.
     const auto seq_results = sequential.evaluate_all(inst.grid, inst.stencil, inst.alloc);
-    const int seq_winner = PortfolioEngine::select_winner(Objective::kLexJmaxJsum, seq_results);
+    const int seq_winner = select_winner(Objective::kLexJmaxJsum, seq_results);
     ASSERT_GE(seq_winner, 0);
 
     const auto seq_plan = sequential.map(inst.grid, inst.stencil, inst.alloc);
@@ -577,14 +577,14 @@ TEST(Portfolio, OneMillisecondBudgetOnALargeInstance) {
   std::vector<BackendResult> results;
   for (int attempt = 0; attempt < 5; ++attempt) {
     results = engine.evaluate_all(grid, stencil, alloc);
-    if (PortfolioEngine::select_winner(budgeted.objective, results) >= 0) break;
+    if (select_winner(budgeted.objective, results) >= 0) break;
   }
   const auto slow = std::find_if(results.begin(), results.end(),
                                  [](const BackendResult& r) { return r.name == "slow"; });
   ASSERT_NE(slow, results.end());
   EXPECT_TRUE(slow->timed_out);
   for (const BackendResult& r : results) EXPECT_FALSE(r.failed) << r.name << ": " << r.error;
-  ASSERT_GE(PortfolioEngine::select_winner(budgeted.objective, results), 0)
+  ASSERT_GE(select_winner(budgeted.objective, results), 0)
       << "even a 1 ms budget leaves the near-instant backends usable";
 
   // map() races afresh (cold cache); same scheduler caveat, same retry.
@@ -601,7 +601,7 @@ TEST(Portfolio, OneMillisecondBudgetOnALargeInstance) {
 
   PortfolioEngine unbudgeted(MapperRegistry::with_default_backends(), parallel_options());
   const auto ref_results = unbudgeted.evaluate_all(grid, stencil, alloc);
-  const int ref_winner = PortfolioEngine::select_winner(budgeted.objective, ref_results);
+  const int ref_winner = select_winner(budgeted.objective, ref_results);
   ASSERT_GE(ref_winner, 0);
   const std::string& ref_name = ref_results[static_cast<std::size_t>(ref_winner)].name;
   // The determinism guarantee is per race: in any budgeted race where the
@@ -610,7 +610,7 @@ TEST(Portfolio, OneMillisecondBudgetOnALargeInstance) {
                                          [&](const BackendResult& r) { return r.name == ref_name; });
   ASSERT_NE(budgeted_ref, results.end());
   if (budgeted_ref->usable()) {
-    const int budgeted_winner = PortfolioEngine::select_winner(budgeted.objective, results);
+    const int budgeted_winner = select_winner(budgeted.objective, results);
     EXPECT_EQ(results[static_cast<std::size_t>(budgeted_winner)].name, ref_name);
   }
 }
@@ -655,7 +655,7 @@ TEST(Portfolio, CancelLosersMarksLaterBackendsCancelled) {
   ASSERT_NE(slow, results.end());
   EXPECT_TRUE(slow->cancelled);
   EXPECT_FALSE(slow->timed_out);
-  EXPECT_EQ(PortfolioEngine::select_winner(options.objective, results), 0);
+  EXPECT_EQ(select_winner(options.objective, results), 0);
 }
 
 TEST(Portfolio, OptimalBoundCancelsOnlyLaterBackends) {

@@ -1,16 +1,13 @@
 // Pins the parallel multilevel gmap contract (docs/PERFORMANCE.md, "Parallel
 // multilevel gmap"):
-//   (1) deterministic mode is bit-identical to the serial algorithm for any
-//       thread count (randomized grids, serial vs 2/4/8 threads),
-//   (2) fast mode keeps every structural invariant (valid part ids, exact
-//       part sizes) even though results may differ,
-//   (3) cancellation is honored mid-level with parallel tasks in flight,
-//   (4) the conflict-detecting parallel FM rejects moves whose neighborhood
-//       was already touched in the round and never worsens balance,
-//   (5) the serial FM's maintained gains stay exact across passes and
+//   (1) a run on an injected ThreadPool is bit-identical to the serial
+//       algorithm (no pool) for any pool size (randomized grids, 1/2/4/8
+//       workers),
+//   (2) cancellation is honored mid-level with parallel tasks in flight,
+//   (3) the serial FM's maintained gains stay exact across passes and
 //       rollbacks (the cross-pass reuse the rollback depends on),
-//   (6) the engine plumbing: gmap_threads validation, plan identity across
-//       gmap_threads settings, and gmap:* trace spans.
+//   (4) the engine plumbing: plan identity across race pool sizes (gmap
+//       forks onto the race pool) and gmap:* trace spans.
 // Runs under TSan/ASan in CI — the parallel paths are forced onto small
 // graphs via GmapOptions::parallel_min_vertices = 1.
 #include <gtest/gtest.h>
@@ -39,15 +36,21 @@ constexpr unsigned kSeed = 20260808;
 
 /// A parallel-friendly configuration: cheap enough for a test, with the
 /// size gate lowered so even small graphs take the parallel code paths.
-GmapOptions parallel_options(std::uint64_t seed, int threads) {
+GmapOptions parallel_options(std::uint64_t seed) {
   GmapOptions o = GmapOptions::fast();
   o.restarts = 2;
   o.initial_tries = 3;
   o.local_search_sweeps = 4;
   o.seed = seed;
-  o.threads = threads;
   o.parallel_min_vertices = 1;
   return o;
+}
+
+/// A mapper forking onto `pool` (null = serial).
+GeneralGraphMapper pooled_mapper(const GmapOptions& options, engine::ThreadPool* pool) {
+  GeneralGraphMapper mapper(options);
+  mapper.configure_execution(pool, nullptr);
+  return mapper;
 }
 
 /// Random 2-d grid graph plus part sizes that sum to its vertex count.
@@ -70,54 +73,37 @@ RandomCase random_case(std::mt19937& rng) {
   return c;
 }
 
-TEST(ParallelGmap, DeterministicModeBitIdenticalAcrossThreadCounts) {
+TEST(ParallelGmap, PooledRunsBitIdenticalToSerial) {
   std::mt19937 rng(kSeed);
   for (int round = 0; round < 4; ++round) {
     const RandomCase c = random_case(rng);
-    const std::uint64_t seed = rng();
-    const std::vector<int> serial =
-        GeneralGraphMapper(parallel_options(seed, 1)).map_graph(c.graph, c.sizes);
-    for (const int threads : {2, 4, 8}) {
+    const GmapOptions options = parallel_options(rng());
+    const std::vector<int> serial = GeneralGraphMapper(options).map_graph(c.graph, c.sizes);
+    for (const int workers : {1, 2, 4, 8}) {
+      engine::ThreadPool pool(workers);
       const std::vector<int> parallel =
-          GeneralGraphMapper(parallel_options(seed, threads)).map_graph(c.graph, c.sizes);
-      EXPECT_EQ(parallel, serial)
-          << "round " << round << ", " << threads << " threads";
+          pooled_mapper(options, &pool).map_graph(c.graph, c.sizes);
+      EXPECT_EQ(parallel, serial) << "round " << round << ", " << workers << " workers";
     }
   }
 }
 
-TEST(ParallelGmap, DeterministicRemapMatchesSerialMapper) {
+TEST(ParallelGmap, PooledRemapMatchesSerialMapper) {
   const CartesianGrid grid({10, 8});
-  const NodeAllocation alloc = NodeAllocation::homogeneous(4, 20);
+  const NodeAllocation alloc = NodeAllocation::homogeneous(8, 10);
   const Stencil s = Stencil::nearest_neighbor(2);
-  const GeneralGraphMapper serial(parallel_options(7, 1));
-  const GeneralGraphMapper threaded(parallel_options(7, 4));
-  EXPECT_EQ(serial.remap(grid, s, alloc), threaded.remap(grid, s, alloc));
-}
-
-TEST(ParallelGmap, FastModePreservesStructuralInvariants) {
-  std::mt19937 rng(kSeed + 1);
-  for (int round = 0; round < 4; ++round) {
-    const RandomCase c = random_case(rng);
-    GmapOptions o = parallel_options(rng(), 4);
-    o.deterministic = false;
-    const std::vector<int> part = GeneralGraphMapper(o).map_graph(c.graph, c.sizes);
-    ASSERT_EQ(static_cast<int>(part.size()), c.graph.num_vertices());
-    std::vector<int> counts(c.sizes.size(), 0);
-    for (const int p : part) {
-      ASSERT_GE(p, 0);
-      ASSERT_LT(p, static_cast<int>(c.sizes.size()));
-      ++counts[static_cast<std::size_t>(p)];
-    }
-    EXPECT_EQ(counts, c.sizes) << "round " << round;
-  }
+  engine::ThreadPool pool(4);
+  const GeneralGraphMapper serial(parallel_options(7));
+  EXPECT_EQ(serial.remap(grid, s, alloc),
+            pooled_mapper(parallel_options(7), &pool).remap(grid, s, alloc));
 }
 
 TEST(ParallelGmap, CancellationHonoredWithParallelTasksInFlight) {
   const CartesianGrid grid({12, 12});
   const CsrGraph graph = build_cartesian_graph(grid, Stencil::nearest_neighbor(2));
   const std::vector<int> sizes(6, 24);
-  const GeneralGraphMapper mapper(parallel_options(3, 4));
+  engine::ThreadPool pool(4);
+  const GeneralGraphMapper mapper = pooled_mapper(parallel_options(3), &pool);
 
   CancelSource cancel;
   cancel.cancel();
@@ -126,47 +112,6 @@ TEST(ParallelGmap, CancellationHonoredWithParallelTasksInFlight) {
 
   ExecContext expired = ExecContext::with_deadline(std::chrono::nanoseconds{0});
   EXPECT_THROW((void)mapper.map_graph(graph, sizes, expired), CancelledError);
-}
-
-TEST(ParallelGmap, ParallelFmRejectsConflictingNeighborhoodMoves) {
-  // A path with alternating sides: every internal vertex proposes gain 2
-  // (both edges external), and any two adjacent commits would double-count
-  // their shared edge — the conflict rule must reject the neighbor of every
-  // winner within a round.
-  const int n = 64;
-  std::vector<CsrGraph::WeightedEdge> edges;
-  for (int v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1, 1});
-  const CsrGraph graph = CsrGraph::from_edges(n, std::move(edges));
-  std::vector<int> part(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) part[static_cast<std::size_t>(v)] = v % 2;
-  const std::int64_t target0 = n / 2;
-  const std::int64_t cut_before = graph.cut(part);
-
-  engine::ThreadPool pool(3);
-  GraphParallel par;
-  par.pool = &pool;
-  par.threads = 4;
-  par.deterministic = false;
-  par.min_vertices = 1;
-
-  FmOptions options;
-  options.max_passes = 6;
-  options.slack = 8;
-  FmParallelStats stats;
-  const std::int64_t improvement =
-      fm_refine_parallel(graph, part, target0, options, par, ExecContext::none(), &stats);
-
-  EXPECT_GT(improvement, 0);
-  EXPECT_EQ(cut_before - graph.cut(part), improvement);
-  EXPECT_GE(stats.rejected_conflict, 1);  // adjacent proposals must lose
-  EXPECT_EQ(stats.proposed,
-            stats.committed + stats.rejected_conflict + stats.rejected_balance);
-  std::int64_t weight0 = 0;
-  for (int v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == 0) ++weight0;
-  }
-  // Balance invariant: imbalance never exceeds max(initial, slack).
-  EXPECT_LE(std::llabs(weight0 - target0), options.slack);
 }
 
 TEST(ParallelFm, MaintainedGainsStayExactAcrossPassesAndRollbacks) {
@@ -219,42 +164,35 @@ TEST(ParallelFm, FullPassRollbackKeepsGainsExact) {
   EXPECT_EQ(cut_before - graph.cut(part), improvement);
 }
 
-TEST(ParallelGmap, EngineRejectsNegativeGmapThreads) {
-  engine::EngineOptions options;
-  options.gmap_threads = -1;
-  EXPECT_THROW(
-      engine::PortfolioEngine(engine::MapperRegistry::with_default_backends(), options),
-      std::invalid_argument);
-}
-
-TEST(ParallelGmap, EnginePlansIdenticalAcrossGmapThreads) {
+TEST(ParallelGmap, EnginePlansIdenticalAcrossRaceThreads) {
   const NodeAllocation alloc = NodeAllocation::homogeneous(6, 8);
   const CartesianGrid grid(dims_create(alloc.total(), 2));
   const Stencil s = Stencil::nearest_neighbor(2);
 
-  const auto plan_with = [&](int race_threads, int gmap_threads) {
+  // viem alone, so the plan is gmap's own output whatever would win a race.
+  const GmapOptions gmap = parallel_options(11);
+  const auto plan_with = [&](int race_threads) {
+    engine::MapperRegistry registry;
+    registry.add("viem", [gmap] { return std::make_unique<GeneralGraphMapper>(gmap); });
     engine::EngineOptions options;
     options.threads = race_threads;
-    options.gmap_threads = gmap_threads;
-    engine::PortfolioEngine engine(
-        engine::MapperRegistry::with_default_backends(parallel_options(11, 1)), options);
+    engine::PortfolioEngine engine(std::move(registry), options);
     return *engine.map(grid, s, alloc);
   };
 
-  const engine::MappingPlan serial = plan_with(1, 1);
-  EXPECT_EQ(plan_with(1, 4), serial);  // gmap spins its own scoped pool
-  EXPECT_EQ(plan_with(2, 0), serial);  // auto: gmap forks onto the race pool
+  const engine::MappingPlan serial = plan_with(1);  // no pool: gmap runs serially
+  EXPECT_EQ(plan_with(2), serial);                  // gmap forks onto the race pool
+  EXPECT_EQ(plan_with(4), serial);
 }
 
 TEST(ParallelGmap, TracingRecordsGmapSpans) {
-  GmapOptions gmap = parallel_options(5, 0);  // 0: adopt the race pool's size
-  gmap.coarsen_target = 8;                    // force a real hierarchy on 48 cells
+  GmapOptions gmap = parallel_options(5);
+  gmap.coarsen_target = 8;  // force a real hierarchy on 48 cells
   engine::MapperRegistry registry;
   registry.add("viem", [gmap] { return std::make_unique<GeneralGraphMapper>(gmap); });
 
   engine::EngineOptions options;
   options.threads = 2;
-  options.gmap_threads = 2;
   options.obs.trace = true;
   options.obs.trace_capacity = 4096;
   engine::PortfolioEngine engine(std::move(registry), options);

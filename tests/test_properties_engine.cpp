@@ -170,7 +170,7 @@ TEST(EngineProperties, EveryBackendResultSatisfiesTheInvariants) {
     ASSERT_GT(usable, 0) << ri.description;
 
     // The declared winner is never strictly beaten by any usable result.
-    const int winner = PortfolioEngine::select_winner(options.objective, results);
+    const int winner = select_winner(options.objective, results);
     ASSERT_GE(winner, 0);
     for (const BackendResult& r : results) {
       if (!r.usable()) continue;

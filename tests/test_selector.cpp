@@ -475,12 +475,12 @@ TEST(AdaptiveEngine, WarmedPruningKeepsTheTrueWinnerPerInstance) {
       PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
 
       const auto full = engine.evaluate_all(inst.grid, inst.stencil, inst.alloc);
-      const int full_winner = PortfolioEngine::select_winner(options.objective, full);
+      const int full_winner = select_winner(options.objective, full);
       ASSERT_GE(full_winner, 0);
       ASSERT_FALSE(engine.history().empty());
 
       const auto pruned = engine.evaluate_all(inst.grid, inst.stencil, inst.alloc);
-      const int pruned_winner = PortfolioEngine::select_winner(options.objective, pruned);
+      const int pruned_winner = select_winner(options.objective, pruned);
       ASSERT_GE(pruned_winner, 0);
       EXPECT_EQ(pruned[static_cast<std::size_t>(pruned_winner)].name,
                 full[static_cast<std::size_t>(full_winner)].name)
@@ -700,7 +700,7 @@ TEST(AdaptiveEngine, AdaptiveBudgetTimesOutABackendSlowerThanItsHistory) {
   EXPECT_FALSE(slow->usable());
   EXPECT_LT(slow->remap_seconds, 5.0);
   EXPECT_GT(slow->predicted_seconds, 0.0);
-  EXPECT_GE(PortfolioEngine::select_winner(options.objective, results), 0);
+  EXPECT_GE(select_winner(options.objective, results), 0);
 }
 
 }  // namespace
