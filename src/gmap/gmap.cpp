@@ -14,27 +14,6 @@ namespace gridmap {
 
 namespace {
 
-// Induced subgraph on `vertices` with a mapping back to the parent ids.
-CsrGraph induced_subgraph(const CsrGraph& graph, const std::vector<int>& vertices,
-                          std::vector<int>& local_to_global) {
-  std::vector<int> global_to_local(static_cast<std::size_t>(graph.num_vertices()), -1);
-  local_to_global = vertices;
-  for (int i = 0; i < static_cast<int>(vertices.size()); ++i) {
-    global_to_local[static_cast<std::size_t>(vertices[static_cast<std::size_t>(i)])] = i;
-  }
-  std::vector<CsrGraph::WeightedEdge> edges;
-  for (int i = 0; i < static_cast<int>(vertices.size()); ++i) {
-    const int v = vertices[static_cast<std::size_t>(i)];
-    const auto nbs = graph.neighbors(v);
-    const auto wts = graph.edge_weights(v);
-    for (std::size_t j = 0; j < nbs.size(); ++j) {
-      const int u = global_to_local[static_cast<std::size_t>(nbs[j])];
-      if (u > i) edges.push_back({i, u, wts[j]});
-    }
-  }
-  return CsrGraph::from_edges(static_cast<int>(vertices.size()), std::move(edges));
-}
-
 // A fresh trace track for one parallel job's spans, or 0 when tracing is off.
 std::uint64_t job_track(const GraphParallel* par) {
   return par != nullptr && par->trace != nullptr && par->trace->enabled()
@@ -70,8 +49,13 @@ void GeneralGraphMapper::recursive_bisect(const CsrGraph& graph,
     target0 += part_sizes[static_cast<std::size_t>(i)];
   }
 
-  std::vector<int> local_to_global;
-  const CsrGraph sub = induced_subgraph(graph, vertices, local_to_global);
+  // `vertices` is ascending at every level (the root's is every vertex, and
+  // the sides below are filtered in order), so the subgraph is built by
+  // filtering sorted rows; at the root it is the graph itself.
+  const bool root = static_cast<int>(vertices.size()) == graph.num_vertices();
+  CsrGraph induced;
+  if (!root) induced = graph.induced_subgraph(vertices);
+  const CsrGraph& sub = root ? graph : induced;
 
   BisectionOptions options;
   options.target0 = target0;
@@ -87,9 +71,9 @@ void GeneralGraphMapper::recursive_bisect(const CsrGraph& graph,
   std::vector<int> right;
   for (int i = 0; i < static_cast<int>(side.size()); ++i) {
     if (side[static_cast<std::size_t>(i)] == 0) {
-      left.push_back(local_to_global[static_cast<std::size_t>(i)]);
+      left.push_back(vertices[static_cast<std::size_t>(i)]);
     } else {
-      right.push_back(local_to_global[static_cast<std::size_t>(i)]);
+      right.push_back(vertices[static_cast<std::size_t>(i)]);
     }
   }
   // The two subtrees are pure functions of (graph, side vertices, seed) and
@@ -184,6 +168,10 @@ std::vector<int> GeneralGraphMapper::map_graph(const CsrGraph& graph,
       std::accumulate(part_sizes.begin(), part_sizes.end(), std::int64_t{0});
   GRIDMAP_CHECK(total == graph.num_vertices(),
                 "part sizes must sum to the number of vertices");
+  for (int v = 0; v < graph.num_vertices(); ++v) {
+    GRIDMAP_CHECK(graph.vertex_weight(v) == 1,
+                  "map_graph balances vertex counts: vertex weights must be 1");
+  }
   std::vector<int> vertices(static_cast<std::size_t>(graph.num_vertices()));
   std::iota(vertices.begin(), vertices.end(), 0);
 

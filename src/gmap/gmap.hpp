@@ -43,9 +43,12 @@ struct GmapOptions {
   /// (Sub)problems below this many vertices take the serial path even with
   /// a pool — forking overhead beats the win on small graphs. Tests lower
   /// it to force parallel paths on small instances.
-  int parallel_min_vertices = 2048;
+  int parallel_min_vertices = kParallelMinVertices;
 
-  /// A cheap configuration for tests.
+  /// The serving configuration: one multilevel run and few local-search
+  /// sweeps. This is what the default portfolio (engine/registry.cpp), and
+  /// so plan_server, races; the quality-first defaults above are what the
+  /// paper benchmarks VieM with.
   static GmapOptions fast() {
     GmapOptions o;
     o.local_search_sweeps = 8;
@@ -74,11 +77,11 @@ class GeneralGraphMapper final : public Mapper {
   }
 
   /// Graph-level entry point: partitions `graph` into parts of exactly the
-  /// given sizes (unit vertex weights assumed for exactness), minimizing the
-  /// weighted cut, then local-search over connected swaps. Returns
-  /// part_of_vertex. Checkpoints `ctx` throughout the multilevel phases —
-  /// the slowest backend in the portfolio, and the reason budgets exist
-  /// (parallel subtasks checkpoint their own ExecContext copies, which
+  /// given vertex counts (every vertex weight must be 1; checked),
+  /// minimizing the weighted cut, then local-search over connected swaps.
+  /// Returns part_of_vertex. Checkpoints `ctx` throughout the multilevel
+  /// phases — the slowest backend in the portfolio, and the reason budgets
+  /// exist (parallel subtasks checkpoint their own ExecContext copies, which
   /// share the caller's deadline and cancel token).
   std::vector<int> map_graph(const CsrGraph& graph, const std::vector<int>& part_sizes,
                              ExecContext& ctx = ExecContext::none()) const;

@@ -90,46 +90,89 @@ void match_propose_commit(const CsrGraph& graph, const std::vector<int>& order,
   }
 }
 
-// The coarse edge list in serial vertex order. The parallel path builds one
-// buffer per contiguous vertex range and concatenates the buffers in range
-// order — byte-identical to the serial single-loop emission.
-std::vector<CsrGraph::WeightedEdge> build_coarse_edges(const CsrGraph& graph,
-                                                       const std::vector<int>& fine_to_coarse,
-                                                       ExecContext& ctx,
-                                                       const GraphParallel* par) {
-  const int n = graph.num_vertices();
-  const auto emit_range = [&](int begin, int end, std::vector<CsrGraph::WeightedEdge>& out,
-                              ExecContext& range_ctx) {
-    for (int v = begin; v < end; ++v) {
+// The coarse graph, built row by row in from_edges's normal form. Coarse
+// vertex c's row merges the neighbor rows of its one or two members
+// (members[2c] and members[2c + 1], equal for a vertex left alone) mapped
+// through fine_to_coarse: each coarse neighbor other than c is
+// insertion-sorted into that short row, and a repeated one adds its weight.
+// This replaces a global O(m log m) edge sort. The parallel path builds
+// contiguous coarse-vertex ranges into per-range buffers and concatenates
+// them in range order — byte-identical to the serial single-range build.
+CsrGraph build_coarse_graph(const CsrGraph& graph, const std::vector<int>& fine_to_coarse,
+                            const std::vector<int>& members,
+                            std::vector<std::int64_t> vwgt, ExecContext& ctx,
+                            const GraphParallel* par) {
+  struct Rows {
+    std::vector<std::int64_t> row_end;  ///< end of each row within adjncy
+    std::vector<int> adjncy;
+    std::vector<std::int64_t> adjwgt;
+  };
+  const auto emit_range = [&](int begin, int end, Rows& out, ExecContext& range_ctx) {
+    std::int64_t arcs_bound = 0;  // every coarse arc comes from a fine arc
+    for (std::size_t i = 2 * static_cast<std::size_t>(begin);
+         i < 2 * static_cast<std::size_t>(end); ++i) {
+      arcs_bound += graph.degree(members[i]);
+    }
+    out.row_end.reserve(static_cast<std::size_t>(end - begin));
+    out.adjncy.reserve(static_cast<std::size_t>(arcs_bound));
+    out.adjwgt.reserve(static_cast<std::size_t>(arcs_bound));
+    for (int c = begin; c < end; ++c) {
       range_ctx.checkpoint();
-      const auto nbs = graph.neighbors(v);
-      const auto wts = graph.edge_weights(v);
-      const int cv = fine_to_coarse[static_cast<std::size_t>(v)];
-      for (std::size_t i = 0; i < nbs.size(); ++i) {
-        const int cu = fine_to_coarse[static_cast<std::size_t>(nbs[i])];
-        if (cv < cu) out.push_back({cv, cu, wts[i]});  // each fine edge once
-      }
+      const std::size_t row_begin = out.adjncy.size();
+      const auto add_member = [&](int v) {
+        const auto nbs = graph.neighbors(v);
+        const auto wts = graph.edge_weights(v);
+        for (std::size_t j = 0; j < nbs.size(); ++j) {
+          const int d = fine_to_coarse[static_cast<std::size_t>(nbs[j])];
+          if (d == c) continue;
+          std::size_t at = out.adjncy.size();
+          while (at > row_begin && out.adjncy[at - 1] > d) --at;
+          if (at > row_begin && out.adjncy[at - 1] == d) {
+            out.adjwgt[at - 1] += wts[j];
+          } else {
+            out.adjncy.insert(out.adjncy.begin() + static_cast<std::ptrdiff_t>(at), d);
+            out.adjwgt.insert(out.adjwgt.begin() + static_cast<std::ptrdiff_t>(at), wts[j]);
+          }
+        }
+      };
+      const int first = members[2 * static_cast<std::size_t>(c)];
+      const int second = members[2 * static_cast<std::size_t>(c) + 1];
+      add_member(first);
+      if (second != first) add_member(second);
+      out.row_end.push_back(static_cast<std::int64_t>(out.adjncy.size()));
     }
   };
 
-  std::vector<CsrGraph::WeightedEdge> edges;
-  if (par == nullptr || !par->active(n)) {
-    emit_range(0, n, edges, ctx);
-    return edges;
+  const int coarse_count = static_cast<int>(vwgt.size());
+  const bool parallel = par != nullptr && par->active(graph.num_vertices());
+  std::vector<Rows> ranges(parallel ? static_cast<std::size_t>(par->chunks()) : 1);
+  if (parallel) {
+    engine::parallel_ranges(par->pool, coarse_count, par->chunks(),
+                            [&](int begin, int end, int chunk) {
+                              ExecContext task_ctx = ctx;
+                              emit_range(begin, end, ranges[static_cast<std::size_t>(chunk)],
+                                         task_ctx);
+                            });
+  } else {
+    emit_range(0, coarse_count, ranges[0], ctx);
   }
-  std::vector<std::vector<CsrGraph::WeightedEdge>> buffers(
-      static_cast<std::size_t>(par->chunks()));
-  engine::parallel_ranges(par->pool, n, par->chunks(), [&](int begin, int end, int chunk) {
-    ExecContext task_ctx = ctx;
-    emit_range(begin, end, buffers[static_cast<std::size_t>(chunk)], task_ctx);
-  });
-  std::size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  edges.reserve(total);
-  for (const auto& buffer : buffers) {
-    edges.insert(edges.end(), buffer.begin(), buffer.end());
+  std::vector<std::int64_t> xadj{0};
+  xadj.reserve(static_cast<std::size_t>(coarse_count) + 1);
+  std::vector<int> adjncy;
+  std::vector<std::int64_t> adjwgt;
+  for (Rows& r : ranges) {
+    const auto base = static_cast<std::int64_t>(adjncy.size());
+    for (const std::int64_t end : r.row_end) xadj.push_back(base + end);
+    if (adjncy.empty()) {
+      adjncy = std::move(r.adjncy);
+      adjwgt = std::move(r.adjwgt);
+    } else {
+      adjncy.insert(adjncy.end(), r.adjncy.begin(), r.adjncy.end());
+      adjwgt.insert(adjwgt.end(), r.adjwgt.begin(), r.adjwgt.end());
+    }
   }
-  return edges;
+  return CsrGraph::from_sorted_rows(std::move(xadj), std::move(adjncy), std::move(adjwgt),
+                                    std::move(vwgt));
 }
 
 }  // namespace
@@ -149,25 +192,27 @@ CoarseLevel coarsen_once(const CsrGraph& graph, std::uint64_t seed, ExecContext&
     match_serial(graph, order, match, ctx);
   }
 
+  // Coarse ids in order of each pair's lower member; members lists each
+  // coarse vertex's (lower, upper) fine pair, (v, v) for a vertex left alone.
   CoarseLevel level;
   level.fine_to_coarse.assign(static_cast<std::size_t>(n), -1);
-  int coarse_count = 0;
+  std::vector<int> members;
+  std::vector<std::int64_t> vwgt;
+  members.reserve(2 * static_cast<std::size_t>(n));
+  vwgt.reserve(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     if (level.fine_to_coarse[static_cast<std::size_t>(v)] >= 0) continue;
     const int u = match[static_cast<std::size_t>(v)];
-    level.fine_to_coarse[static_cast<std::size_t>(v)] = coarse_count;
-    level.fine_to_coarse[static_cast<std::size_t>(u)] = coarse_count;
-    ++coarse_count;
+    const int coarse = static_cast<int>(vwgt.size());
+    level.fine_to_coarse[static_cast<std::size_t>(v)] = coarse;
+    level.fine_to_coarse[static_cast<std::size_t>(u)] = coarse;
+    members.push_back(v);
+    members.push_back(u);
+    vwgt.push_back(u == v ? graph.vertex_weight(v)
+                          : graph.vertex_weight(v) + graph.vertex_weight(u));
   }
-
-  std::vector<std::int64_t> vwgt(static_cast<std::size_t>(coarse_count), 0);
-  for (int v = 0; v < n; ++v) {
-    vwgt[static_cast<std::size_t>(level.fine_to_coarse[static_cast<std::size_t>(v)])] +=
-        graph.vertex_weight(v);
-  }
-  std::vector<CsrGraph::WeightedEdge> edges =
-      build_coarse_edges(graph, level.fine_to_coarse, ctx, par);
-  level.graph = CsrGraph::from_edges(coarse_count, std::move(edges), std::move(vwgt));
+  level.graph =
+      build_coarse_graph(graph, level.fine_to_coarse, members, std::move(vwgt), ctx, par);
   return level;
 }
 

@@ -10,9 +10,11 @@
 // partner is still free takes it (provably the serial choice, since the
 // proposal dominates every unmatched neighbor too), and otherwise falls
 // back to the serial rescan. The result is bit-identical to the serial
-// matching for any thread count. Contraction builds its edge list in
-// parallel per contiguous vertex range and concatenates ranges in order,
-// which reproduces the serial edge order exactly.
+// matching for any thread count. Contraction builds each coarse CSR row
+// directly from its members' mapped rows (no global edge sort), in
+// parallel per contiguous coarse-vertex range, and concatenates the ranges
+// in order — the same arrays as the serial build and as
+// CsrGraph::from_edges.
 #pragma once
 
 #include <cstdint>

@@ -58,6 +58,56 @@ CsrGraph CsrGraph::from_edges(int num_vertices, std::vector<WeightedEdge> edges,
   return g;
 }
 
+CsrGraph CsrGraph::from_sorted_rows(std::vector<std::int64_t> xadj, std::vector<int> adjncy,
+                                    std::vector<std::int64_t> adjwgt,
+                                    std::vector<std::int64_t> vertex_weights) {
+  GRIDMAP_CHECK(xadj.size() == vertex_weights.size() + 1 && xadj.front() == 0 &&
+                    xadj.back() == static_cast<std::int64_t>(adjncy.size()) &&
+                    adjwgt.size() == adjncy.size(),
+                "CSR array sizes disagree");
+  CsrGraph g;
+  g.xadj_ = std::move(xadj);
+  g.adjncy_ = std::move(adjncy);
+  g.adjwgt_ = std::move(adjwgt);
+  g.vwgt_ = std::move(vertex_weights);
+  g.total_vwgt_ = std::accumulate(g.vwgt_.begin(), g.vwgt_.end(), std::int64_t{0});
+  return g;
+}
+
+CsrGraph CsrGraph::induced_subgraph(std::span<const int> vertices) const {
+  const int n = static_cast<int>(vertices.size());
+  std::vector<int> local(static_cast<std::size_t>(num_vertices()), -1);
+  std::int64_t arcs_bound = 0;
+  for (int i = 0; i < n; ++i) {
+    const int v = vertices[static_cast<std::size_t>(i)];
+    GRIDMAP_CHECK(v >= 0 && v < num_vertices() &&
+                      (i == 0 || vertices[static_cast<std::size_t>(i) - 1] < v),
+                  "induced_subgraph wants strictly ascending vertex ids");
+    local[static_cast<std::size_t>(v)] = i;
+    arcs_bound += degree(v);
+  }
+  CsrGraph g;
+  g.xadj_.reserve(static_cast<std::size_t>(n) + 1);
+  g.xadj_.push_back(0);
+  g.adjncy_.reserve(static_cast<std::size_t>(arcs_bound));
+  g.adjwgt_.reserve(static_cast<std::size_t>(arcs_bound));
+  g.vwgt_.reserve(static_cast<std::size_t>(n));
+  for (const int v : vertices) {
+    const auto nbs = neighbors(v);
+    const auto wts = edge_weights(v);
+    for (std::size_t j = 0; j < nbs.size(); ++j) {
+      const int u = local[static_cast<std::size_t>(nbs[j])];
+      if (u < 0) continue;
+      g.adjncy_.push_back(u);
+      g.adjwgt_.push_back(wts[j]);
+    }
+    g.xadj_.push_back(static_cast<std::int64_t>(g.adjncy_.size()));
+    g.vwgt_.push_back(vertex_weight(v));
+    g.total_vwgt_ += vertex_weight(v);
+  }
+  return g;
+}
+
 std::int64_t CsrGraph::cut(const std::vector<int>& part) const {
   GRIDMAP_CHECK(static_cast<int>(part.size()) == num_vertices(),
                 "partition vector size mismatch");

@@ -25,6 +25,21 @@ class CsrGraph {
   static CsrGraph from_edges(int num_vertices, std::vector<WeightedEdge> edges,
                              std::vector<std::int64_t> vertex_weights);
 
+  /// Adopts CSR arrays that are already in from_edges's normal form: every
+  /// row sorted ascending, the adjacency symmetric, no self-loops or
+  /// duplicate neighbors, positive edge weights. Only the array sizes are
+  /// checked. Builders that emit rows in order use this to skip the sort.
+  static CsrGraph from_sorted_rows(std::vector<std::int64_t> xadj, std::vector<int> adjncy,
+                                   std::vector<std::int64_t> adjwgt,
+                                   std::vector<std::int64_t> vertex_weights);
+
+  /// The subgraph induced by `vertices`, which must be strictly ascending:
+  /// vertex i of the result is vertices[i] and keeps its vertex weight.
+  /// Because the ids are ascending, filtering each sorted neighbor row in
+  /// order yields exactly the arrays from_edges would build from the
+  /// induced edge list, in O(n + m) instead of O(m log m).
+  CsrGraph induced_subgraph(std::span<const int> vertices) const;
+
   int num_vertices() const noexcept { return static_cast<int>(xadj_.size()) - 1; }
   std::int64_t num_arcs() const noexcept { return static_cast<std::int64_t>(adjncy_.size()); }
 
@@ -49,6 +64,8 @@ class CsrGraph {
   /// weights equal to the number of directed communication edges between the
   /// endpoints, this equals Jsum.
   std::int64_t cut(const std::vector<int>& part) const;
+
+  friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
 
  private:
   std::vector<std::int64_t> xadj_;

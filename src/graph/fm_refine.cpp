@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 namespace gridmap {
 
@@ -29,9 +28,12 @@ std::int64_t move_gain(const CsrGraph& graph, const std::vector<int>& part, int 
 // after the flip, so "different side now" means the edge was internal for
 // u before. The rule is its own inverse — the rollback path un-applies a
 // move by calling it again — which is what keeps gains exact across pass
-// boundaries without recomputation.
+// boundaries without recomputation. `on_gain_changed(u)` runs right after
+// each neighbor's gain changes, so a heap keyed by the gains is repaired
+// one key at a time.
+template <class OnGainChanged>
 void flip_with_deltas(const CsrGraph& graph, std::vector<int>& part,
-                      std::vector<std::int64_t>& gain, int v) {
+                      std::vector<std::int64_t>& gain, int v, OnGainChanged on_gain_changed) {
   part[static_cast<std::size_t>(v)] ^= 1;
   gain[static_cast<std::size_t>(v)] = -gain[static_cast<std::size_t>(v)];
   const auto nbs = graph.neighbors(v);
@@ -43,17 +45,107 @@ void flip_with_deltas(const CsrGraph& graph, std::vector<int>& part,
             ? 2 * wts[i]
             : -2 * wts[i];
     gain[static_cast<std::size_t>(u)] += delta;
+    on_gain_changed(u);
   }
 }
 
-struct QueueEntry {
-  std::int64_t gain = 0;
-  int vertex = -1;
-  std::int64_t stamp = 0;  // lazy-deletion version
+void flip_with_deltas(const CsrGraph& graph, std::vector<int>& part,
+                      std::vector<std::int64_t>& gain, int v) {
+  flip_with_deltas(graph, part, gain, v, [](int) {});
+}
 
-  bool operator<(const QueueEntry& other) const {
-    return gain < other.gain || (gain == other.gain && vertex > other.vertex);
+// Indexed binary max-heap over vertices, keyed by (gain[v], -v) and reading
+// the keys from the maintained gain vector. Keys are unique per vertex, so
+// the pop order is a function of the gains alone: highest gain first, then
+// lowest vertex id. Each vertex is in the heap at most once; update(v)
+// restores the heap after v's key (and only v's) changed.
+class GainHeap {
+ public:
+  explicit GainHeap(const std::vector<std::int64_t>& gain)
+      : gain_(gain), pos_(gain.size(), -1) {
+    heap_.reserve(gain.size());
   }
+
+  bool empty() const noexcept { return heap_.empty(); }
+  bool contains(int v) const { return pos_[static_cast<std::size_t>(v)] >= 0; }
+
+  /// Fills the heap with every vertex (Floyd's O(n) heapify).
+  void fill_all() {
+    const int n = static_cast<int>(pos_.size());
+    heap_.resize(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) place(v, v);
+    for (int slot = n / 2 - 1; slot >= 0; --slot) sift_down(slot);
+  }
+
+  void push(int v) {
+    heap_.push_back(v);
+    place(static_cast<int>(heap_.size()) - 1, v);
+    sift_up(static_cast<int>(heap_.size()) - 1);
+  }
+
+  int pop() {
+    const int top = heap_.front();
+    pos_[static_cast<std::size_t>(top)] = -1;
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      place(0, last);
+      sift_down(0);
+    }
+    return top;
+  }
+
+  void update(int v) {
+    const int slot = pos_[static_cast<std::size_t>(v)];
+    sift_up(slot);
+    sift_down(pos_[static_cast<std::size_t>(v)]);
+  }
+
+ private:
+  bool before(int a, int b) const {
+    const std::int64_t ga = gain_[static_cast<std::size_t>(a)];
+    const std::int64_t gb = gain_[static_cast<std::size_t>(b)];
+    return ga > gb || (ga == gb && a < b);
+  }
+
+  void place(int slot, int v) {
+    heap_[static_cast<std::size_t>(slot)] = v;
+    pos_[static_cast<std::size_t>(v)] = slot;
+  }
+
+  void sift_up(int slot) {
+    const int v = heap_[static_cast<std::size_t>(slot)];
+    while (slot > 0) {
+      const int parent = (slot - 1) / 2;
+      const int p = heap_[static_cast<std::size_t>(parent)];
+      if (!before(v, p)) break;
+      place(slot, p);
+      slot = parent;
+    }
+    place(slot, v);
+  }
+
+  void sift_down(int slot) {
+    const int n = static_cast<int>(heap_.size());
+    const int v = heap_[static_cast<std::size_t>(slot)];
+    while (true) {
+      int child = 2 * slot + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[static_cast<std::size_t>(child) + 1],
+                                  heap_[static_cast<std::size_t>(child)])) {
+        ++child;
+      }
+      const int c = heap_[static_cast<std::size_t>(child)];
+      if (!before(c, v)) break;
+      place(slot, c);
+      slot = child;
+    }
+    place(slot, v);
+  }
+
+  const std::vector<std::int64_t>& gain_;
+  std::vector<int> heap_;  ///< vertices in heap order
+  std::vector<int> pos_;   ///< slot of each vertex in heap_, -1 when absent
 };
 
 }  // namespace
@@ -79,8 +171,8 @@ std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
   for (int v = 0; v < n; ++v) {
     gain[static_cast<std::size_t>(v)] = move_gain(graph, part, v);
   }
-  std::vector<std::int64_t> stamp(static_cast<std::size_t>(n), 0);
   std::vector<bool> locked(static_cast<std::size_t>(n));
+  GainHeap heap(gain);
 
   for (int pass = 0; pass < options.max_passes; ++pass) {
     if (options.verify_gains) {
@@ -90,10 +182,9 @@ std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
       }
     }
     std::fill(locked.begin(), locked.end(), false);
-    std::priority_queue<QueueEntry> queue;
-    for (int v = 0; v < n; ++v) {
-      queue.push({gain[static_cast<std::size_t>(v)], v, stamp[static_cast<std::size_t>(v)]});
-    }
+    // The heap holds exactly the unlocked vertices still queued for this
+    // pass; every pass drains it, so it starts empty.
+    heap.fill_all();
 
     struct Move {
       int vertex;
@@ -104,20 +195,14 @@ std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
     moves.reserve(static_cast<std::size_t>(n));
     std::int64_t cumulative = 0;
 
-    while (!queue.empty()) {
+    while (!heap.empty()) {
       ctx.checkpoint();
-      const QueueEntry top = queue.top();
-      queue.pop();
-      const int v = top.vertex;
-      if (locked[static_cast<std::size_t>(v)] ||
-          top.stamp != stamp[static_cast<std::size_t>(v)] ||
-          top.gain != gain[static_cast<std::size_t>(v)]) {
-        continue;  // stale entry
-      }
+      const int v = heap.pop();
       // Feasibility: moving v changes weight0 by +-w(v). Intermediate states
       // may overshoot the slack by up to one vertex weight — the classic FM
       // alternation — because the rollback below only accepts prefixes whose
-      // final imbalance is within the slack.
+      // final imbalance is within the slack. A rejected vertex stays out of
+      // the heap until a neighbor's move re-queues it.
       const std::int64_t w = graph.vertex_weight(v);
       const std::int64_t new_weight0 =
           part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
@@ -128,19 +213,18 @@ std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
       locked[static_cast<std::size_t>(v)] = true;
       weight0 = new_weight0;
       cumulative += gain[static_cast<std::size_t>(v)];
-      flip_with_deltas(graph, part, gain, v);
+      // Every neighbor's gain changes (locked ones too — their values must
+      // stay exact for the next pass); each unlocked neighbor is re-keyed
+      // right after its own change, or re-queued if it was rejected.
+      flip_with_deltas(graph, part, gain, v, [&](int u) {
+        if (locked[static_cast<std::size_t>(u)]) return;
+        if (heap.contains(u)) {
+          heap.update(u);
+        } else {
+          heap.push(u);
+        }
+      });
       moves.push_back({v, cumulative, std::llabs(weight0 - target0)});
-
-      // flip_with_deltas updated every neighbor's gain (locked ones too —
-      // their values must stay exact for the next pass); only unlocked
-      // neighbors get re-queued.
-      const auto nbs = graph.neighbors(v);
-      for (std::size_t i = 0; i < nbs.size(); ++i) {
-        const int u = nbs[i];
-        if (locked[static_cast<std::size_t>(u)]) continue;
-        ++stamp[static_cast<std::size_t>(u)];
-        queue.push({gain[static_cast<std::size_t>(u)], u, stamp[static_cast<std::size_t>(u)]});
-      }
     }
 
     // Roll back to the best feasible prefix (max cumulative gain with

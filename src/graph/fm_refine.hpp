@@ -31,8 +31,12 @@ struct FmOptions {
 /// Gains are computed once and then maintained with the FM delta rule
 /// across moves, rollbacks, and pass boundaries (the same structure
 /// rebalance_exact uses) — an aborted pass un-applies its suffix deltas
-/// instead of triggering an O(n * degree) recomputation. Same values, same
-/// queue order, bit-identical results to the recomputing formulation.
+/// instead of triggering an O(n * degree) recomputation. Each pass takes
+/// moves from an indexed max-heap keyed by (gain, -vertex): highest gain
+/// first, then lowest vertex id. A neighbor's heap slot is repaired right
+/// after its gain changes, so every pop is a live vertex; a vertex the
+/// balance limit rejects leaves the heap until a neighbor's move re-queues
+/// it.
 std::int64_t fm_refine(const CsrGraph& graph, std::vector<int>& part,
                        std::int64_t target0, const FmOptions& options,
                        ExecContext& ctx = ExecContext::none());

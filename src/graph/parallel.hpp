@@ -29,12 +29,17 @@ class TraceRecorder;
 
 namespace gridmap {
 
+/// Default fork threshold (GmapOptions::parallel_min_vertices): graphs below
+/// this size take the serial path even with a pool — subtask overhead beats
+/// the win on small (sub)problems, and the recursion's deep levels go serial
+/// automatically as subgraphs shrink past it. Sized for the 128–4800-vertex
+/// graphs the plan server races (docs/PERFORMANCE.md, "Parallel multilevel
+/// gmap").
+inline constexpr int kParallelMinVertices = 512;
+
 struct GraphParallel {
   engine::ThreadPool* pool = nullptr;  ///< null = serial everywhere
-  /// Graphs below this size take the serial path even with a pool: subtask
-  /// overhead beats the win on small (sub)problems, and the recursion's
-  /// deep levels go serial automatically as subgraphs shrink past it.
-  int min_vertices = 2048;
+  int min_vertices = kParallelMinVertices;  ///< serial below this size
   obs::TraceRecorder* trace = nullptr;  ///< per-level spans (null = off)
 
   /// Target concurrency: the pool's size (1 without a pool).

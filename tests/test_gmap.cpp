@@ -33,6 +33,13 @@ TEST(Gmap, RejectsMismatchedSizes) {
   EXPECT_THROW(mapper.map_graph(g, {8, 9}), std::invalid_argument);
 }
 
+TEST(Gmap, RejectsWeightedVertices) {
+  // Part sizes are vertex counts; a vertex weight other than 1 has no meaning.
+  const CsrGraph g = CsrGraph::from_edges(4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}, {1, 2, 1, 1});
+  const GeneralGraphMapper mapper(GmapOptions::fast());
+  EXPECT_THROW(mapper.map_graph(g, {2, 2}), std::invalid_argument);
+}
+
 TEST(Gmap, RemappingRespectsAllocation) {
   const CartesianGrid grid({8, 6});
   const NodeAllocation alloc({12, 12, 24});

@@ -20,8 +20,12 @@ spec in docs/FORMATS.md). Key conventions drive the gating:
                (e.g. telemetry.overhead_ok regressing).
 
 Everything else (raw seconds, counts, quantiles) is trend data: reported,
-never gated. Keys present only on one side are reported as informational —
-adding a bench section must not break the gate for old baselines.
+never gated. A baseline *_checksum or boolean key missing from the current
+run fails the gate: those keys are the correctness argument, and one
+dropped by mistake would otherwise pass silently (a change that deletes a
+bench section regenerates the baseline with it). Any other key present
+only on one side is reported as informational — adding a bench section
+must not break the gate for old baselines.
 
 The section-10 gmap.* keys follow the same conventions: gmap.plan_checksum
 is exact (the deterministic parallel gmap must keep producing the same
@@ -105,7 +109,13 @@ def main(argv):
     only_base = sorted(k for k in baseline if k not in current)
     only_cur = sorted(k for k in current if k not in baseline)
     for key in only_base:
-        print(f"  {key}: only in baseline (informational)")
+        if key.endswith("_checksum") or isinstance(baseline[key], bool):
+            print(f"  {key}: only in baseline [MISSING]")
+            failures.append(f"{key}: gated baseline key missing from the current "
+                            f"run; regenerate the baseline if it was removed "
+                            f"on purpose")
+        else:
+            print(f"  {key}: only in baseline (informational)")
     for key in only_cur:
         print(f"  {key}: only in current (informational)")
 
