@@ -1,5 +1,5 @@
 // Portfolio-engine benchmark: sequential vs. parallel portfolio races,
-// plan-cache behaviour, budgets, the pipelined map_all, and adaptive
+// plan-cache behaviour, budgets, a map() loop over a batch, and adaptive
 // selection.
 //
 //   (1) For a set of instances, time PortfolioEngine::evaluate_all with 1
@@ -8,10 +8,10 @@
 //       map() and report cache hit rate and the cached-vs-uncached latency.
 //   (3) Budgeted race on a large grid: unlimited vs. a tight per-backend
 //       budget, so the speedup from cancelling slow backends is measured.
-//   (4) map_all over many instances: serial per-instance map() loop vs. the
-//       pipelined instances-x-backends queue, with plan equality checked.
+//   (4) One engine's map() loop over a 12-instance batch (5 repeats are
+//       cache hits): throughput and the checksum of every plan.
 //   (5) Adaptive selection: a full-race pass over a mixed batch warms the
-//       backend history, then a pruned map_all re-races the batch — must
+//       backend history, then a pruned map() loop re-races the batch — must
 //       agree with the full race on >= 95% of winners while executing
 //       strictly fewer mapper runs (the ISSUE 3 acceptance pin).
 //   (6) MappingService: a duplicate-signature request storm with and
@@ -32,8 +32,8 @@
 //   (9) Hot-path evaluation: CSR-adjacency evaluate_mapping vs the scalar
 //       reference on a 64^3 and a 256x256 instance (cells/sec each; the CSR
 //       path must be >= 2x on 64^3 and agree bit-identically — the ISSUE 7
-//       acceptance pin), incremental apply_move throughput, and the share
-//       of a full race's backend wall time spent in evaluation.
+//       acceptance pin), and the share of a full race's backend wall time
+//       spent in evaluation.
 //  (10) Parallel multilevel gmap: the VieM-style mapper on an 80x80 grid
 //       graph (6400 vertices, 64 parts), serial (no pool) vs an injected
 //       ThreadPool — the two runs must be bit-identical (checked
@@ -322,9 +322,9 @@ int main(int argc, char** argv) {
   json.put("budget.budgeted_seconds", budgeted_s);
   json.put_count("budget.timed_out", timed_out);  // timing-dependent: no checksum
 
-  // ---- (4) serial map() loop vs. pipelined map_all -----------------------
-  // >= 8 distinct instances; same engine configuration, caches cleared
-  // between runs so both paths do the full mapping work.
+  // ---- (4) map() loop over a batch -------------------------------------
+  // The 5 race instances twice plus 2 more: the repeated half is served
+  // from the cache, the 7 distinct instances race.
   std::vector<Instance> batch;
   for (int k = 0; k < 2; ++k) {
     for (const NamedInstance& ni : instances) batch.push_back(ni.instance);
@@ -333,43 +333,33 @@ int main(int argc, char** argv) {
                    NodeAllocation::homogeneous(28, 30)});
   batch.push_back({CartesianGrid({18, 16, 4}), Stencil::nearest_neighbor(3),
                    NodeAllocation::homogeneous(24, 48)});
-  // The repeated half exercises the cache identically in both paths; the 7
-  // distinct instances carry the pipelining comparison.
 
-  PortfolioEngine pipelined_engine(MapperRegistry::with_default_backends(), par_options);
-  PortfolioEngine serial_engine(MapperRegistry::with_default_backends(), par_options);
-
+  const auto map_loop = [](PortfolioEngine& engine, const std::vector<Instance>& instances) {
+    std::vector<std::shared_ptr<const MappingPlan>> plans;
+    for (const Instance& inst : instances) {
+      plans.push_back(engine.map(inst.grid, inst.stencil, inst.alloc));
+    }
+    return plans;
+  };
+  PortfolioEngine batch_engine(MapperRegistry::with_default_backends(), par_options);
   const auto ts = Clock::now();
-  std::vector<std::shared_ptr<const MappingPlan>> serial_plans;
-  for (const Instance& inst : batch) {
-    serial_plans.push_back(serial_engine.map(inst.grid, inst.stencil, inst.alloc));
-  }
+  const auto batch_plans = map_loop(batch_engine, batch);
   const double serial_s = seconds_since(ts);
 
-  const auto tp = Clock::now();
-  const auto pipelined_plans = pipelined_engine.map_all(batch);
-  const double pipelined_s = seconds_since(tp);
-
-  bool identical = serial_plans.size() == pipelined_plans.size();
-  for (std::size_t i = 0; identical && i < serial_plans.size(); ++i) {
-    identical = *serial_plans[i] == *pipelined_plans[i];
-  }
-  std::cout << "map_all over " << batch.size() << " instances: serial map() loop "
-            << std::setprecision(1) << serial_s * 1e3 << " ms -> pipelined "
-            << pipelined_s * 1e3 << " ms (" << std::setprecision(2)
-            << serial_s / pipelined_s << "x), plans "
-            << (identical ? "bit-identical" : "MISMATCH") << "\n\n";
+  std::cout << "map() loop over " << batch.size() << " instances: " << std::setprecision(1)
+            << serial_s * 1e3 << " ms (" << std::setprecision(3)
+            << static_cast<double>(batch.size()) / serial_s << " instances/s)\n\n";
   std::uint64_t plans_checksum = fnv1a("");
-  for (const auto& plan : pipelined_plans) {
+  for (const auto& plan : batch_plans) {
     plans_checksum = fnv1a(serialize_plan(*plan), plans_checksum);
   }
+  // The map_all.* key names stay stable: the committed trajectory and the
+  // ROADMAP track them.
   json.put("map_all.serial_seconds", serial_s);
-  json.put("map_all.pipelined_seconds", pipelined_s);
-  json.put("map_all.instances_per_sec", static_cast<double>(batch.size()) / pipelined_s);
-  json.put_bool("map_all.identical", identical);
+  json.put("map_all.instances_per_sec", static_cast<double>(batch.size()) / serial_s);
   json.put_checksum("map_all.plans_checksum", plans_checksum);
 
-  // ---- (5) adaptive selection: warmed pruned map_all vs. full race -------
+  // ---- (5) adaptive selection: warmed pruned map() loop vs. full race ----
   // A mixed batch of distinct instances; the full race warms the history,
   // which is handed to a pruning engine through the history file (the same
   // path a restarted server takes).
@@ -420,7 +410,7 @@ int main(int argc, char** argv) {
   {
     PortfolioEngine full(MapperRegistry::with_default_backends(), full_options);
     const auto tf = Clock::now();
-    full_plans = full.map_all(mixed);
+    full_plans = map_loop(full, mixed);
     full_s = seconds_since(tf);
     full_runs = full.mapper_runs();
   }  // destructor persists the warmed history
@@ -435,7 +425,7 @@ int main(int argc, char** argv) {
   const std::size_t warmed = pruning.history().load(history_path);
   std::remove(history_path.c_str());
   const auto tp5 = Clock::now();
-  const auto pruned_plans = pruning.map_all(mixed);
+  const auto pruned_plans = map_loop(pruning, mixed);
   const double pruned_s = seconds_since(tp5);
   const std::uint64_t pruned_runs = pruning.mapper_runs();
 
@@ -772,38 +762,6 @@ int main(int argc, char** argv) {
       square_bench.csr_cells_per_sec / square_bench.scalar_cells_per_sec;
   const bool eval_ok = cube_speedup >= 2.0;
 
-  // Incremental apply_move throughput: random single-cell relocations folded
-  // into one IncrementalEval on the 64^3 instance (jmax read every 64 moves
-  // so lazy repair is part of the measured cost).
-  const int kEvalNodes = 64;
-  std::vector<NodeId> cube_nodes(static_cast<std::size_t>(cube.size()));
-  for (std::size_t c = 0; c < cube_nodes.size(); ++c) {
-    cube_nodes[c] = static_cast<NodeId>(static_cast<std::int64_t>(c) * kEvalNodes /
-                                        cube.size());
-  }
-  IncrementalEval inc(cube, Stencil::nearest_neighbor(3), cube_nodes, kEvalNodes);
-  std::uint64_t move_state = 0x9e3779b97f4a7c15ULL;
-  const auto next_move = [&move_state] {
-    move_state ^= move_state << 13;
-    move_state ^= move_state >> 7;
-    move_state ^= move_state << 17;
-    return move_state;
-  };
-  const auto move_t = Clock::now();
-  std::int64_t moves = 0;
-  double move_elapsed = 0.0;
-  do {
-    for (int burst = 0; burst < 64; ++burst) {
-      const Cell cell = static_cast<Cell>(next_move() % static_cast<std::uint64_t>(cube.size()));
-      const NodeId to = static_cast<NodeId>(next_move() % kEvalNodes);
-      inc.apply_move(cell, to);
-      ++moves;
-    }
-    (void)inc.jmax();
-    move_elapsed = seconds_since(move_t);
-  } while (move_elapsed < 0.25);
-  const double moves_per_sec = static_cast<double>(moves) / move_elapsed;
-
   // Evaluation's share of backend wall time in a full race (remap + eval) on
   // the first bench instance — the fraction the arena path shrinks.
   double race_eval_s = 0.0, race_total_s = 0.0;
@@ -825,8 +783,6 @@ int main(int argc, char** argv) {
             << square_bench.scalar_cells_per_sec / 1e6 << " M -> csr "
             << square_bench.csr_cells_per_sec / 1e6 << " M (" << std::setprecision(2)
             << square_speedup << "x)\n"
-            << "  apply_move: " << std::setprecision(3) << moves_per_sec / 1e6
-            << " M moves/sec (64^3, jmax repaired every 64 moves)\n"
             << "  race eval share: " << std::setprecision(1) << race_eval_share * 100
             << "% of backend wall time\n";
   json.put("eval.64cube_scalar_cells_per_sec", cube_bench.scalar_cells_per_sec);
@@ -835,7 +791,6 @@ int main(int argc, char** argv) {
   json.put("eval.256sq_scalar_cells_per_sec", square_bench.scalar_cells_per_sec);
   json.put("eval.256sq_csr_cells_per_sec", square_bench.csr_cells_per_sec);
   json.put("eval.256sq_speedup", square_speedup);
-  json.put("eval.apply_move_moves_per_sec", moves_per_sec);
   json.put("eval.race_eval_share", race_eval_share);
   json.put_bool("eval.speedup_ok", eval_ok);
   json.put_checksum(
@@ -1000,7 +955,7 @@ int main(int argc, char** argv) {
   json.put_bool("spec.speedup_ok", spec_ratio >= 10.0);
   json.put_bool("spec.final_identical", final_identical);
 
-  const bool all_ok = identical && selection_ok && dedup_ok && admission_ok &&
+  const bool all_ok = selection_ok && dedup_ok && admission_ok &&
                       sharding_ok && overhead_ok && eval_ok && gmap_ok && spec_ok;
   if (emit_json) {
     if (!json.write(json_path)) {

@@ -26,68 +26,6 @@ void MappingCost::repair_jmax() {
                    : static_cast<NodeId>(std::distance(out_edges.begin(), it));
 }
 
-void MappingCost::apply_move(const StencilAdjacency& forward,
-                             const StencilAdjacency& reverse,
-                             std::vector<NodeId>& node_of_cell, Cell cell,
-                             NodeId from_node, NodeId to_node) {
-  GRIDMAP_CHECK(cell >= 0 && cell < forward.num_cells(), "cell out of range");
-  const int num_nodes = static_cast<int>(out_edges.size());
-  GRIDMAP_CHECK(from_node >= 0 && from_node < num_nodes, "node id out of range");
-  GRIDMAP_CHECK(to_node >= 0 && to_node < num_nodes, "node id out of range");
-  GRIDMAP_CHECK(node_of_cell[static_cast<std::size_t>(cell)] == from_node,
-                "apply_move from_node does not own the cell");
-  if (from_node == to_node) return;
-
-  const NodeId a = from_node;
-  const NodeId b = to_node;
-
-  // Outgoing edges cell -> v: retract them as a-owned, re-add as b-owned.
-  // A periodic self-loop (v == cell) is intra under any owner.
-  forward.for_each_neighbor(cell, [&](Cell v) {
-    if (v == cell) {
-      --intra_edges[static_cast<std::size_t>(a)];
-      ++intra_edges[static_cast<std::size_t>(b)];
-      return;
-    }
-    const NodeId nv = node_of_cell[static_cast<std::size_t>(v)];
-    if (nv == a) {
-      --intra_edges[static_cast<std::size_t>(a)];
-    } else {
-      --out_edges[static_cast<std::size_t>(a)];
-      --jsum;
-    }
-    if (nv == b) {
-      ++intra_edges[static_cast<std::size_t>(b)];
-    } else {
-      ++out_edges[static_cast<std::size_t>(b)];
-      ++jsum;
-    }
-  });
-
-  // Incoming edges u -> cell (u enumerated by the reverse stencil; the
-  // self-loop was fully handled above).
-  reverse.for_each_neighbor(cell, [&](Cell u) {
-    if (u == cell) return;
-    const NodeId nu = node_of_cell[static_cast<std::size_t>(u)];
-    if (nu == a) {
-      --intra_edges[static_cast<std::size_t>(nu)];
-    } else {
-      --out_edges[static_cast<std::size_t>(nu)];
-      --jsum;
-    }
-    if (nu == b) {
-      ++intra_edges[static_cast<std::size_t>(nu)];
-    } else {
-      ++out_edges[static_cast<std::size_t>(nu)];
-      ++jsum;
-    }
-  });
-
-  node_of_cell[static_cast<std::size_t>(cell)] = b;
-  // jsum/out_edges/intra_edges are exact; jmax/bottleneck are now stale —
-  // callers run repair_jmax() before reading them.
-}
-
 MappingCost evaluate_mapping(const StencilAdjacency& adjacency,
                              const std::vector<NodeId>& node_of_cell, int num_nodes) {
   GRIDMAP_CHECK(static_cast<std::int64_t>(node_of_cell.size()) == adjacency.num_cells(),
@@ -199,38 +137,6 @@ void EvalScratch::reset() {
   stencil_.reset();
   nodes_.clear();
   nodes_.shrink_to_fit();
-}
-
-IncrementalEval::IncrementalEval(const CartesianGrid& grid, const Stencil& stencil,
-                                 std::vector<NodeId> node_of_cell, int num_nodes)
-    : forward_(grid, stencil),
-      reverse_(grid, stencil.reversed()),
-      nodes_(std::move(node_of_cell)),
-      num_nodes_(num_nodes) {
-  cost_ = evaluate_mapping(forward_, nodes_, num_nodes_);
-}
-
-void IncrementalEval::apply_move(Cell cell, NodeId to_node) {
-  const NodeId from_node = nodes_.at(static_cast<std::size_t>(cell));
-  if (from_node == to_node) return;
-  cost_.apply_move(forward_, reverse_, nodes_, cell, from_node, to_node);
-  jmax_stale_ = true;
-}
-
-std::int64_t IncrementalEval::jmax() {
-  if (jmax_stale_) {
-    cost_.repair_jmax();
-    jmax_stale_ = false;
-  }
-  return cost_.jmax;
-}
-
-const MappingCost& IncrementalEval::cost() {
-  if (jmax_stale_) {
-    cost_.repair_jmax();
-    jmax_stale_ = false;
-  }
-  return cost_;
 }
 
 TrafficMatrix::TrafficMatrix(int num_nodes) : num_nodes_(num_nodes) {

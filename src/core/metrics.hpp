@@ -4,12 +4,11 @@
 //
 // Hot-path layout (see docs/PERFORMANCE.md): evaluation runs over a
 // precomputed StencilAdjacency (shared interior delta table + boundary CSR
-// rows, core/adjacency.hpp) instead of per-cell neighbor vectors, reuses a
-// thread-local EvalScratch arena across calls, and supports O(degree)
-// incremental updates (MappingCost::apply_move / IncrementalEval) for
-// refinement loops. All paths produce bit-identical MappingCost values; the
-// historical per-cell-allocation implementation stays compiled as
-// evaluate_mapping_scalar for the equivalence suite.
+// rows, core/adjacency.hpp) instead of per-cell neighbor vectors and reuses
+// a thread-local EvalScratch arena across calls. All paths produce
+// bit-identical MappingCost values; the historical per-cell-allocation
+// implementation stays compiled as evaluate_mapping_scalar for the
+// equivalence suite.
 #pragma once
 
 #include <cstdint>
@@ -31,18 +30,6 @@ struct MappingCost {
   NodeId bottleneck = -1; ///< node attaining jmax
   std::vector<std::int64_t> out_edges;    ///< per node: outgoing inter-node edges
   std::vector<std::int64_t> intra_edges;  ///< per node: directed edges staying inside
-
-  /// Incrementally accounts for moving `cell` from `from_node` to `to_node`:
-  /// jsum/out_edges/intra_edges are delta-updated in O(degree) using the
-  /// forward adjacency (the moved cell's outgoing edges) and the reverse
-  /// adjacency (its incoming edges; build with grid.adjacency(
-  /// stencil.reversed())), and node_of_cell[cell] is rewritten to to_node.
-  /// jmax/bottleneck become stale — call repair_jmax() before reading them
-  /// (IncrementalEval does this lazily). `from_node` must match the cell's
-  /// current owner.
-  void apply_move(const StencilAdjacency& forward, const StencilAdjacency& reverse,
-                  std::vector<NodeId>& node_of_cell, Cell cell, NodeId from_node,
-                  NodeId to_node);
 
   /// Recomputes jmax/bottleneck from out_edges (first maximum wins, the
   /// std::max_element tie-break of the full evaluation). O(num_nodes).
@@ -69,8 +56,8 @@ MappingCost evaluate_mapping(const StencilAdjacency& adjacency,
 /// TEST-ONLY reference implementation: the historical scalar path that calls
 /// CartesianGrid::neighbors() (one vector allocation per cell) with the
 /// per-edge range check in the inner loop. Kept compiled so the equivalence
-/// suite can assert bit-identical MappingCost against the CSR and
-/// incremental paths; production code must not call it.
+/// suite can assert bit-identical MappingCost against the CSR and arena
+/// paths; production code must not call it.
 MappingCost evaluate_mapping_scalar(const CartesianGrid& grid, const Stencil& stencil,
                                     const std::vector<NodeId>& node_of_cell,
                                     int num_nodes);
@@ -110,35 +97,6 @@ class EvalScratch {
   std::unique_ptr<StencilAdjacency> adjacency_;
   std::vector<NodeId> nodes_;
   std::uint64_t builds_ = 0;
-};
-
-/// Incremental evaluation for refinement loops: one full evaluation at
-/// construction, then O(degree) apply_move() per relocation with a lazily
-/// repaired jmax — reading jmax()/cost() after the bottleneck node lost
-/// edges triggers one O(num_nodes) repair instead of a full re-evaluation.
-/// cost() is bit-identical to evaluate_mapping() over the current
-/// node_of_cell().
-class IncrementalEval {
- public:
-  IncrementalEval(const CartesianGrid& grid, const Stencil& stencil,
-                  std::vector<NodeId> node_of_cell, int num_nodes);
-
-  /// Moves `cell` to `to_node` (no-op when it already lives there).
-  void apply_move(Cell cell, NodeId to_node);
-
-  std::int64_t jsum() const noexcept { return cost_.jsum; }
-  std::int64_t jmax();          ///< lazily repaired
-  const MappingCost& cost();    ///< repairs jmax, then exposes the full cost
-  const std::vector<NodeId>& node_of_cell() const noexcept { return nodes_; }
-  int num_nodes() const noexcept { return num_nodes_; }
-
- private:
-  StencilAdjacency forward_;
-  StencilAdjacency reverse_;
-  std::vector<NodeId> nodes_;
-  MappingCost cost_;
-  int num_nodes_ = 0;
-  bool jmax_stale_ = false;
 };
 
 /// Directed communication volume between node pairs: entry (a, b) counts the

@@ -144,14 +144,6 @@ std::vector<double> Stencil::distortion_factors() const {
   return alpha;
 }
 
-Stencil Stencil::reversed() const {
-  std::vector<Offset> negated = offsets_;
-  for (Offset& off : negated) {
-    for (int& c : off) c = -c;
-  }
-  return Stencil(ndims_, std::move(negated));
-}
-
 std::vector<int> Stencil::flat() const {
   std::vector<int> out;
   out.reserve(offsets_.size() * static_cast<std::size_t>(ndims_));

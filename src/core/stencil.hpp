@@ -60,13 +60,6 @@ class Stencil {
   /// dimension with zero extent gets alpha_i = 0 (no communication across it).
   std::vector<double> distortion_factors() const;
 
-  /// The reverse stencil: every offset negated, in the original offset
-  /// order. Its adjacency enumerates the in-neighbors of a cell (u is an
-  /// in-neighbor of c under S iff c is a neighbor of u, which holds iff u is
-  /// a neighbor of c under the reverse stencil) — the table incremental
-  /// evaluation needs to retract a moved cell's incoming edges.
-  Stencil reversed() const;
-
   /// Flattened representation (Listing 1 layout), k * ndims entries.
   std::vector<int> flat() const;
 

@@ -43,9 +43,7 @@ bool better(Objective objective, const MappingCost& a, const MappingCost& b) {
   throw_invalid("unknown objective enumerator");
 }
 
-bool unbeatable(Objective objective, const MappingCost& cost,
-                const std::optional<MappingCost>& bound) {
-  if (bound.has_value() && !better(objective, *bound, cost)) return true;
+bool unbeatable(Objective objective, const MappingCost& cost) {
   switch (objective) {
     case Objective::kJsum:
       return cost.jsum <= 0;

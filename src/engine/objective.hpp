@@ -5,7 +5,6 @@
 // how the paper argues about bottleneck nodes.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -30,11 +29,8 @@ Objective objective_from_string(std::string_view name);
 bool better(Objective objective, const MappingCost& a, const MappingCost& b);
 
 /// True when no mapping can be strictly `better` than `cost`: it reaches the
-/// absolute floor (score 0 — both metrics are counts), or it is at least as
-/// good as `bound`. The engine uses this to cancel later-registered backends
-/// that are still running; the conclusion is only sound when `bound` really
-/// is an optimal score for the instance, which is the caller's promise.
-bool unbeatable(Objective objective, const MappingCost& cost,
-                const std::optional<MappingCost>& bound = std::nullopt);
+/// absolute floor (score 0 — both metrics are counts). The engine uses this
+/// to cancel later-registered backends that are still running.
+bool unbeatable(Objective objective, const MappingCost& cost);
 
 }  // namespace gridmap::engine

@@ -54,20 +54,6 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   void clear();
 
-  /// Persists every cached plan to `path` as concatenated plan_io blocks,
-  /// written least- to most-recently used so load() reproduces the recency
-  /// order. Throws on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Warm-starts the cache from a save() file: parses the plan blocks and
-  /// put()s each under its stored signature, in file order (so the file's
-  /// last plan ends up most recent; excess entries evict normally; a
-  /// duplicate signature refreshes the earlier entry, mirroring put()).
-  /// All-or-nothing: the whole file is parsed before any insertion, so a
-  /// malformed file throws and leaves the cache untouched. Returns the
-  /// number of plans loaded. Throws on I/O failure or malformed plans.
-  std::size_t load(const std::string& path);
-
  private:
   using LruList = std::list<std::pair<std::string, std::shared_ptr<const MappingPlan>>>;
 

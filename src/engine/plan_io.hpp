@@ -1,5 +1,6 @@
 // Plan serialization: a line-oriented text format so winning plans survive
-// across runs (warm-starting the cache, shipping plans to other machines).
+// across runs and travel to other processes (plan files, the GRIDMAP/1 wire
+// protocol's plan frames).
 //
 //   gridmap-plan v1
 //   signature <canonical instance signature>

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/types.hpp"
 #include "engine/race.hpp"
@@ -49,8 +47,6 @@ void validate_options(const EngineOptions& options) {
                   "history_capacity > 0 — with recording disabled the selector "
                   "could never warm up");
   }
-  GRIDMAP_CHECK(options.speculation_budget.count() >= 0,
-                "EngineOptions::speculation_budget must not be negative");
   GRIDMAP_CHECK(!options.obs.trace || options.obs.trace_capacity >= 1,
                 "ObsOptions::trace_capacity must be >= 1 when tracing is enabled");
 }
@@ -69,18 +65,9 @@ PortfolioEngine::PortfolioEngine(MapperRegistry registry, EngineOptions options)
   }
   const int threads = resolve_threads(options_.threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (!options_.cache_file.empty() && options_.cache_capacity > 0) {
-    // Warm start is best-effort: a missing or corrupt cache file must not
-    // keep the engine from serving (it just starts cold).
-    try {
-      if (std::ifstream(options_.cache_file).good()) cache_.load(options_.cache_file);
-    } catch (const std::exception&) {
-      cache_.clear();
-    }
-  }
   if (!options_.history_file.empty() && options_.history_capacity > 0) {
-    // Same best-effort rule: a missing or malformed history file means a
-    // cold start (full races), never a failed engine. load() is
+    // Warm start is best-effort: a missing or malformed history file means
+    // a cold start (full races), never a failed engine. load() is
     // all-or-nothing, so nothing to clean up on failure.
     try {
       if (std::ifstream(options_.history_file).good()) {
@@ -92,19 +79,13 @@ PortfolioEngine::PortfolioEngine(MapperRegistry registry, EngineOptions options)
 }
 
 PortfolioEngine::~PortfolioEngine() {
-  // With caching disabled nothing was loaded or produced — never clobber an
-  // existing cache file with an empty one. Same for the history store.
-  if (!options_.cache_file.empty() && options_.cache_capacity > 0) {
-    try {
-      cache_.save(options_.cache_file);
-    } catch (const std::exception&) {
-      // Shutdown persistence is best-effort; never throw from a destructor.
-    }
-  }
+  // With recording disabled nothing was loaded or produced — never clobber
+  // an existing history file with an empty one.
   if (!options_.history_file.empty() && options_.history_capacity > 0) {
     try {
       history_.save(options_.history_file);
     } catch (const std::exception&) {
+      // Shutdown persistence is best-effort; never throw from a destructor.
     }
   }
 }
@@ -131,9 +112,10 @@ std::vector<BackendResult> PortfolioEngine::evaluate_all(const CartesianGrid& gr
   return results;
 }
 
-std::shared_ptr<const MappingPlan> PortfolioEngine::map_one(
-    const CartesianGrid& grid, const Stencil& stencil, const NodeAllocation& alloc,
-    const HistorySnapshot* snapshot, const std::atomic<bool>* cancel) {
+std::shared_ptr<const MappingPlan> PortfolioEngine::map(const CartesianGrid& grid,
+                                                        const Stencil& stencil,
+                                                        const NodeAllocation& alloc,
+                                                        const std::atomic<bool>* cancel) {
   StageEnv env{registry_, options_, cache_,      history_,
                pool_.get(), mapper_runs_, telemetry_.get()};
   if (telemetry_ != nullptr && telemetry_->tracing()) {
@@ -143,7 +125,7 @@ std::shared_ptr<const MappingPlan> PortfolioEngine::map_one(
   const CacheProbe probe = CacheProbe::run(env, grid, stencil, alloc);
   if (probe.hit()) return probe.plan;
   const SelectorPass selection =
-      SelectorPass::run(env, grid, stencil, alloc, snapshot, fnv1a_hash(probe.signature));
+      SelectorPass::run(env, grid, stencil, alloc, nullptr, fnv1a_hash(probe.signature));
   RaceStage race(env, grid, stencil, alloc, selection, cancel);
   const std::vector<BackendResult> results = race.collect();
   RecordStage::record(env, selection.features, results);
@@ -163,103 +145,6 @@ std::shared_ptr<const MappingPlan> PortfolioEngine::speculate(const CartesianGri
   // A cached plan is already final — no point speculating below it.
   if (std::shared_ptr<const MappingPlan> hit = cache_.probe(signature)) return hit;
   return SpeculateStage::run(env, signature, grid, stencil, alloc);
-}
-
-std::shared_ptr<const MappingPlan> PortfolioEngine::map(const CartesianGrid& grid,
-                                                        const Stencil& stencil,
-                                                        const NodeAllocation& alloc,
-                                                        const std::atomic<bool>* cancel) {
-  return map_one(grid, stencil, alloc, nullptr, cancel);
-}
-
-std::vector<std::shared_ptr<const MappingPlan>> PortfolioEngine::map_all(
-    const std::vector<Instance>& instances) {
-  std::vector<std::shared_ptr<const MappingPlan>> plans(instances.size());
-  // Batch env: no per-request trace track (the pipelined path interleaves
-  // instances), so stage spans are skipped — backend runs still trace on
-  // their own tracks, and the sequential path below goes through map_one,
-  // which opens a request track per instance.
-  const StageEnv env{registry_, options_, cache_,      history_,
-                     pool_.get(), mapper_runs_, telemetry_.get()};
-
-  // One history snapshot pins the whole batch: every instance's selection is
-  // decided against the same state regardless of scheduling, so the
-  // sequential and pipelined paths prune identically (outcomes recorded
-  // mid-batch only influence the *next* map/map_all call).
-  HistorySnapshot batch_snapshot;
-  const HistorySnapshot* snapshot = nullptr;
-  if (selection_enabled(options_)) {
-    batch_snapshot = history_.snapshot();
-    snapshot = &batch_snapshot;
-  }
-
-  if (!pool_) {
-    // Sequential reference loop — also the semantics the pipelined path
-    // below must reproduce plan-for-plan.
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      plans[i] = map_one(instances[i].grid, instances[i].stencil, instances[i].alloc,
-                         snapshot, nullptr);
-    }
-    return plans;
-  }
-
-  // Pipelined: one cache probe per distinct signature, then every miss fans
-  // its backends out onto the pool immediately — the queue holds instances x
-  // backends at once, so workers stay busy across instance boundaries. If
-  // resolution below throws (e.g. no usable backend for one instance), the
-  // ~RaceStage of every still-scheduled entry cancels and drains its tasks
-  // before `instances` (whose elements the tasks reference) unwinds.
-  struct Scheduled {
-    SelectorPass selection;
-    std::unique_ptr<RaceStage> race;
-  };
-  std::vector<std::string> sigs(instances.size());
-  std::vector<bool> deferred(instances.size(), false);  // duplicate of an earlier instance
-  std::unordered_set<std::string> seen;
-  std::unordered_map<std::string, Scheduled> scheduled;
-  // Plan of every first occurrence, so duplicates survive even if the cache
-  // evicts (or is disabled) mid-batch.
-  std::unordered_map<std::string, std::shared_ptr<const MappingPlan>> batch_plans;
-
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Instance& inst = instances[i];
-    sigs[i] = instance_signature(inst.grid, inst.stencil, inst.alloc, options_.objective);
-    if (!seen.insert(sigs[i]).second) {
-      deferred[i] = true;  // resolved from the cache after its twin finishes
-      continue;
-    }
-    if (std::shared_ptr<const MappingPlan> cached = cache_.get(sigs[i])) {
-      plans[i] = cached;
-      batch_plans.emplace(sigs[i], std::move(cached));
-      continue;
-    }
-    Scheduled s;
-    // instance_hash(...) == fnv1a_hash(signature); sigs[i] is the signature.
-    s.selection = SelectorPass::run(env, inst.grid, inst.stencil, inst.alloc, snapshot,
-                                    fnv1a_hash(sigs[i]));
-    s.race = std::make_unique<RaceStage>(env, inst.grid, inst.stencil, inst.alloc,
-                                         s.selection);
-    s.race->schedule();
-    scheduled.emplace(sigs[i], std::move(s));
-  }
-
-  // Resolve in request order; duplicates re-probe the cache exactly like the
-  // serial loop would (and fall back to the sibling plan when caching is
-  // disabled or the entry was evicted mid-batch).
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (plans[i] != nullptr) continue;
-    if (deferred[i]) {
-      plans[i] = cache_.get(sigs[i]);
-      if (plans[i] == nullptr) plans[i] = batch_plans.at(sigs[i]);
-      continue;
-    }
-    Scheduled& s = scheduled.at(sigs[i]);
-    const std::vector<BackendResult> results = s.race->collect();
-    RecordStage::record(env, s.selection.features, results);
-    plans[i] = RecordStage::commit(env, sigs[i], results);
-    batch_plans.emplace(sigs[i], plans[i]);
-  }
-  return plans;
 }
 
 }  // namespace gridmap::engine

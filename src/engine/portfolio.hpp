@@ -26,9 +26,9 @@
 // snapshot of the BackendHistory — backends predicted to have no realistic
 // chance of winning are pruned (BackendResult::pruned) and history-derived
 // per-backend deadlines replace the fixed backend_budget. Selection is
-// deterministic given a fixed history snapshot (map_all snapshots once for
-// the whole batch), and an empty history — the cold start — keeps every
-// backend with no extra deadline, i.e. exactly the unpruned race above.
+// deterministic given a fixed history snapshot, and an empty history — the
+// cold start — keeps every backend with no extra deadline, i.e. exactly the
+// unpruned race above.
 // Every race's usable outcomes are recorded back into the history, which
 // persists across runs via EngineOptions::history_file.
 //
@@ -63,7 +63,7 @@ namespace gridmap::engine {
 
 class EngineTelemetry;
 
-/// One mapping problem; the unit of map()/map_all().
+/// One mapping problem: the grid, its stencil and the node allocation.
 struct Instance {
   CartesianGrid grid;
   Stencil stencil;
@@ -117,16 +117,6 @@ struct EngineOptions {
   /// Cancel still-running backends once a completed result proves they
   /// cannot win. Never changes the selected winner (see header comment).
   bool cancel_losers = true;
-  /// Optional known-optimal cost: any result at least as good is treated as
-  /// unbeatable and triggers loser cancellation. Winner determinism is only
-  /// guaranteed when this really is an optimal score for every instance the
-  /// engine sees (a zero-cost floor is always assumed, bound or not).
-  std::optional<MappingCost> optimal_bound;
-  /// When non-empty: warm-start the plan cache from this file at
-  /// construction (ignored if missing or unreadable) and persist the cache
-  /// back to it at destruction (best-effort). Ignored entirely when
-  /// cache_capacity is 0 — a disabled cache never touches the file.
-  std::string cache_file;
   /// Maximum backends with history the selector lets race per instance;
   /// 0 disables pruning. Never-seen backends always race regardless, and
   /// pruning never drops below selector.min_backends — so an empty history
@@ -147,8 +137,8 @@ struct EngineOptions {
   /// instances (so a backend mispredicted as a loser can recover when the
   /// workload shifts) and adaptively timed-out backends get re-measured.
   /// Hash-based rather than counter-based so the decision is a pure
-  /// function of the instance — identical across engines, runs, and the
-  /// sequential/pipelined map_all paths. 0 disables the refresh.
+  /// function of the instance — identical across engines and runs. 0
+  /// disables the refresh.
   std::uint32_t full_race_every = 16;
   /// When non-empty: warm-start the backend history from this file at
   /// construction (ignored if missing or malformed) and persist it back at
@@ -158,11 +148,6 @@ struct EngineOptions {
   /// Per-backend outcome window of the history store; 0 disables outcome
   /// recording (and thereby selection ever warming up in-process).
   std::size_t history_capacity = 512;
-  /// Per-attempt remap deadline of speculate(), the synchronous provisional
-  /// pass behind the service's two-tier response (see SpeculateStage in
-  /// engine/race.hpp). An attempt that overruns it falls through to the next
-  /// cheapest candidate; zero means unlimited. Must not be negative.
-  std::chrono::nanoseconds speculation_budget = std::chrono::milliseconds(2);
   /// Telemetry toggles: latency histograms/counters (`metrics`, default on)
   /// and per-request trace spans (`trace`, default off). Both off means the
   /// engine allocates no telemetry at all and the hot path pays only
@@ -175,11 +160,11 @@ class PortfolioEngine {
   /// Validates `options` (throws std::invalid_argument on negative budgets
   /// or thread counts, selector quantile/slack out of range, a zero
   /// min_backends floor, or selection enabled with outcome recording
-  /// disabled) and warm-starts cache and history from their configured
-  /// files. Throws when the registry is empty.
+  /// disabled) and warm-starts the history from its configured file.
+  /// Throws when the registry is empty.
   explicit PortfolioEngine(MapperRegistry registry, EngineOptions options = {});
 
-  /// Persists the plan cache to EngineOptions::cache_file, if configured.
+  /// Persists the history to EngineOptions::history_file, if configured.
   ~PortfolioEngine();
 
   PortfolioEngine(const PortfolioEngine&) = delete;
@@ -200,7 +185,7 @@ class PortfolioEngine {
   /// The speculative fast path: returns a *provisional* plan from one cheap
   /// synchronous backend run on the calling thread (cached plans are served
   /// directly), or null when no candidate answered within
-  /// EngineOptions::speculation_budget. Never caches or records anything —
+  /// kSpeculationBudget (engine/race.hpp). Never caches or records anything —
   /// a later map() of the same instance races exactly as if speculate() had
   /// never run, so final plans stay bit-identical to a direct race. Never
   /// throws for a failed attempt (null is the failure signal).
@@ -215,13 +200,6 @@ class PortfolioEngine {
   std::shared_ptr<const MappingPlan> cached(const std::string& signature) {
     return cache_.probe(signature);
   }
-
-  /// Batch variant: maps every instance, reusing the pool and the cache.
-  /// With a pool, all instances' backends are scheduled up-front as one
-  /// flat work queue (instances x backends), so backend tasks of different
-  /// instances pipeline across the workers instead of racing one instance
-  /// at a time. Returns bit-identical plans to the serial map() loop.
-  std::vector<std::shared_ptr<const MappingPlan>> map_all(const std::vector<Instance>& instances);
 
   /// Runs every backend (no cache) under the configured budget and reports
   /// per-backend outcomes in registration order. Inapplicable backends are
@@ -254,16 +232,6 @@ class PortfolioEngine {
   EngineTelemetry* telemetry() const noexcept { return telemetry_.get(); }
 
  private:
-  /// map() against an explicit history snapshot and optional external
-  /// cancellation flag — the single staged implementation shared by map()
-  /// (snapshot = null) and the sequential map_all loop. The stages
-  /// themselves live in engine/race.hpp.
-  std::shared_ptr<const MappingPlan> map_one(const CartesianGrid& grid,
-                                             const Stencil& stencil,
-                                             const NodeAllocation& alloc,
-                                             const HistorySnapshot* snapshot,
-                                             const std::atomic<bool>* cancel);
-
   MapperRegistry registry_;
   EngineOptions options_;
   PlanCache cache_;

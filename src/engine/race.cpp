@@ -239,8 +239,7 @@ BackendResult RaceStage::run_backend(const std::string& name, std::size_t index,
       return result;
     }
 
-    if (racing && env_.options.cancel_losers &&
-        unbeatable(env_.options.objective, result.cost, env_.options.optimal_bound)) {
+    if (racing && env_.options.cancel_losers && unbeatable(env_.options.objective, result.cost)) {
       report_unbeatable(static_cast<int>(index));
     }
   } catch (const std::exception& e) {
@@ -352,12 +351,11 @@ std::shared_ptr<const MappingPlan> SpeculateStage::run(const StageEnv& env,
   // History-informed first, cheapest-static otherwise: a seen backend with a
   // positive win score that the selector predicts fits the speculation
   // budget is the best single bet; everything else falls back to the static
-  // cheap rank so a cold start still answers in microseconds.
-  const double budget_seconds =
-      std::chrono::duration<double>(env.options.speculation_budget).count();
+  // cheap rank so a cold start still answers in microseconds. A prediction
+  // of 0 (none) counts as fast.
+  const double budget_seconds = std::chrono::duration<double>(kSpeculationBudget).count();
   const auto predicted_fast = [budget_seconds](const BackendPrediction& p) {
-    return budget_seconds <= 0.0 || p.predicted_seconds <= 0.0 ||
-           p.predicted_seconds <= budget_seconds;
+    return p.predicted_seconds <= budget_seconds;
   };
   std::vector<std::size_t> order(selection.preds.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -383,10 +381,7 @@ std::shared_ptr<const MappingPlan> SpeculateStage::run(const StageEnv& env,
       mapper->configure_execution(nullptr, nullptr);
       if (!mapper->applicable(grid, stencil, alloc)) continue;
       ++attempts;
-      ExecContext ctx = env.options.speculation_budget.count() > 0
-                            ? ExecContext::with_deadline(env.options.speculation_budget,
-                                                         nullptr)
-                            : ExecContext::with_token(nullptr);
+      ExecContext ctx = ExecContext::with_deadline(kSpeculationBudget, nullptr);
       env.mapper_runs.fetch_add(1, std::memory_order_relaxed);
       Remapping remapping = mapper->remap(grid, stencil, alloc, ctx);
       const MappingCost cost = evaluate_mapping(grid, stencil, remapping, alloc);

@@ -1,5 +1,5 @@
-// The staged map path of the portfolio engine. One map()/map_all()/
-// evaluate_all() request flows through four explicit stages:
+// The staged map path of the portfolio engine. One map()/evaluate_all()
+// request flows through four explicit stages:
 //
 //   CacheProbe    — canonical signature + plan-cache lookup
 //   SelectorPass  — instance features, refresh decision, backend predictions
@@ -13,8 +13,8 @@
 // served plan is bit-identical to a directly computed one. Each stage is a
 // pure function of its inputs plus the StageEnv it runs against — the
 // determinism contracts documented in portfolio.hpp (parallel race ==
-// sequential winner, map_all == serial loop, selection deterministic per
-// history snapshot) live here now.
+// sequential winner, selection deterministic per history snapshot) live
+// here.
 #pragma once
 
 #include <atomic>
@@ -69,11 +69,10 @@ struct CacheProbe {
 
 /// Stage 2: features + refresh decision + per-backend predictions. With
 /// selection disabled this degenerates to "keep every backend, no deadline"
-/// — exactly the pre-selector full race. `snapshot` may be null: when
-/// selection needs one, a fresh snapshot is taken (map_all instead pins one
-/// snapshot for its whole batch and passes it in). `hash` is the instance's
-/// signature hash when the caller already has it; computed on demand for the
-/// refresh decision otherwise.
+/// — exactly the pre-selector full race. `snapshot` is the history state to
+/// select against; null takes a fresh snapshot when selection needs one.
+/// `hash` is the instance's signature hash when the caller already has it;
+/// computed on demand for the refresh decision otherwise.
 struct SelectorPass {
   InstanceFeatures features;              ///< meaningful iff selection/recording on
   std::vector<BackendPrediction> preds;   ///< index-aligned with registry names
@@ -86,9 +85,8 @@ struct SelectorPass {
 
 /// Stage 3: one race over the selector's kept backends. Owns the per-backend
 /// cancellation sources, the unbeatable-result bookkeeping, and the rescue
-/// safety net. Single-use: construct, optionally schedule() early (map_all
-/// fans every instance's backends out before collecting any), then collect()
-/// exactly once.
+/// safety net. Single-use: construct, optionally schedule() early, then
+/// collect() exactly once.
 ///
 /// `abandon` is an optional external cancellation flag (the MappingService
 /// wires the request's CancelSource here): every backend's ExecContext
@@ -110,8 +108,7 @@ class RaceStage {
   RaceStage& operator=(const RaceStage&) = delete;
 
   /// Submits every kept backend to the pool (no-op when the env has none,
-  /// or when already scheduled). Scheduling is separate from collection so
-  /// map_all can flood the pool with instances x backends before blocking.
+  /// or when already scheduled). collect() schedules first if needed.
   void schedule();
 
   /// Gathers results in registration order (running them inline when the
@@ -155,14 +152,18 @@ class RaceStage {
   bool scheduled_ = false;
 };
 
+/// Per-attempt remap deadline of SpeculateStage. An attempt that overruns it
+/// falls through to the next cheapest candidate.
+constexpr std::chrono::nanoseconds kSpeculationBudget = std::chrono::milliseconds(2);
+
 /// The speculative fast path: one cheap synchronous backend run producing a
 /// *provisional* plan on the calling thread — the first tier of the
 /// service's two-tier response (the full race refines it in the background).
 /// Candidates are ordered by the selector's win-score ranking when history
-/// is warm (skipping backends predicted slower than the speculation budget)
-/// and by a static cheapest-first rank otherwise; each attempt runs under
-/// EngineOptions::speculation_budget and a failed or timed-out attempt falls
-/// through to the next candidate.
+/// is warm (skipping backends predicted slower than kSpeculationBudget) and
+/// by a static cheapest-first rank otherwise; each attempt runs under
+/// kSpeculationBudget and a failed or timed-out attempt falls through to the
+/// next candidate.
 ///
 /// Side-effect contract: the provisional plan is NEVER cached and NEVER
 /// recorded into the history — the subsequent full race must stay

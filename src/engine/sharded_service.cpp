@@ -20,9 +20,6 @@ ShardedService::ShardedService(const MapperRegistry& registry, EngineOptions eng
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     EngineOptions shard_options = engine_options;
-    if (!shard_options.cache_file.empty()) {
-      shard_options.cache_file = shard_file(engine_options.cache_file, i);
-    }
     if (!shard_options.history_file.empty()) {
       shard_options.history_file = shard_file(engine_options.history_file, i);
     }

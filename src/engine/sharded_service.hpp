@@ -20,14 +20,14 @@
 //
 // Determinism: fnv1a_hash is stable across runs and platforms, so for a
 // fixed shard count the same instance is always served by the same shard
-// (its cache/history files stay coherent across restarts). Served plans are
+// (its history file stays coherent across restarts). Served plans are
 // bit-identical to direct PortfolioEngine::map() calls with the same
 // options — sharding adds placement, not policy.
 //
-// Persistence: when EngineOptions names a cache_file/history_file, each
-// shard derives its own file ("<path>.shard<i>") so shards never race on
-// one file and a restart warms every shard with exactly the plans it will
-// be asked for again.
+// Persistence: when EngineOptions names a history_file, each shard derives
+// its own file ("<path>.shard<i>") so shards never race on one file and a
+// restart warms every shard with the outcomes of the instances it will be
+// asked for again.
 //
 // Counters: counters() aggregates across shards — monotonic counters and
 // the queue_depth/in_flight gauges sum; max_queue_depth is the maximum over
@@ -48,8 +48,8 @@ namespace gridmap::engine {
 class ShardedService {
  public:
   /// Builds `shards` independent MappingService instances, each with a copy
-  /// of `registry` and its own engine built from `engine_options` (cache
-  /// and history files rewritten per shard, see shard_file). Throws
+  /// of `registry` and its own engine built from `engine_options` (history
+  /// file rewritten per shard, see shard_file). Throws
   /// std::invalid_argument when shards < 1 or any option is invalid.
   explicit ShardedService(const MapperRegistry& registry, EngineOptions engine_options = {},
                           ServiceOptions service_options = {}, int shards = 1);
@@ -105,7 +105,7 @@ class ShardedService {
 
   Objective objective() const noexcept { return objective_; }
 
-  /// The per-shard file a shared cache/history path is rewritten to:
+  /// The per-shard file a shared history path is rewritten to:
   /// "<path>.shard<index>".
   static std::string shard_file(const std::string& path, int index);
 

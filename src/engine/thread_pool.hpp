@@ -1,9 +1,7 @@
 // A fixed-size worker pool for the portfolio engine. Deliberately minimal:
 // FIFO queue, no work stealing — portfolio races submit coarse-grained
 // tasks (one mapper run each), so scheduling finesse buys nothing. Shared
-// across map() calls so batch APIs reuse warm threads; map_all floods it
-// with instances x backends as one flat queue, which is what keeps every
-// worker busy while a slow backend of an earlier instance still runs.
+// across map() calls, so every race reuses warm threads.
 //
 // Exception contract: a task that throws never terminates a worker — the
 // exception is captured in the task's shared state (std::packaged_task) and

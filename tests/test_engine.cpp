@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/blocked.hpp"
@@ -12,6 +15,7 @@
 #include "engine/plan_cache.hpp"
 #include "engine/plan_io.hpp"
 #include "engine/portfolio.hpp"
+#include "engine/race.hpp"
 #include "engine/registry.hpp"
 #include "engine/signature.hpp"
 
@@ -452,17 +456,6 @@ TEST(EngineOptionsValidation, AcceptsDisabledAndDefaultKnobs) {
   EXPECT_NO_THROW(PortfolioEngine(registry, zeros));
 }
 
-TEST(Portfolio, MapAllBatchesAndDeduplicatesViaCache) {
-  PortfolioEngine engine(MapperRegistry::with_default_backends(), parallel_options());
-  std::vector<Instance> instances = test_instances();
-  instances.push_back(instances.front());  // duplicate instance
-  const auto plans = engine.map_all(instances);
-  ASSERT_EQ(plans.size(), instances.size());
-  EXPECT_EQ(plans.front().get(), plans.back().get());  // same cached plan object
-  EXPECT_EQ(engine.cache_stats().hits, 1u);
-  EXPECT_EQ(engine.cache_stats().misses, instances.size() - 1);
-}
-
 TEST(Portfolio, WinnerPlanRoundTripsAndRebuildsRemapping) {
   PortfolioEngine engine(MapperRegistry::with_default_backends(), sequential_options());
   const CartesianGrid grid({6, 8});
@@ -501,7 +494,7 @@ TEST(Portfolio, ThrowsWhenNoBackendApplicable) {
 
 // ---------------------------------------------------- budgets/cancellation --
 
-TEST(Objective, UnbeatableFloorsAndBounds) {
+TEST(Objective, UnbeatableIsTheZeroFloor) {
   MappingCost zero;  // jsum = jmax = 0
   MappingCost some;
   some.jsum = 10, some.jmax = 3;
@@ -509,13 +502,6 @@ TEST(Objective, UnbeatableFloorsAndBounds) {
     EXPECT_TRUE(unbeatable(o, zero));
     EXPECT_FALSE(unbeatable(o, some));
   }
-  // A known-optimal bound makes any result at least as good unbeatable.
-  MappingCost bound;
-  bound.jsum = 10, bound.jmax = 3;
-  EXPECT_TRUE(unbeatable(Objective::kLexJmaxJsum, some, bound));
-  MappingCost worse;
-  worse.jsum = 11, worse.jmax = 3;
-  EXPECT_FALSE(unbeatable(Objective::kLexJmaxJsum, worse, bound));
 }
 
 MapperRegistry defaults_plus_slow(std::chrono::milliseconds spin) {
@@ -658,26 +644,28 @@ TEST(Portfolio, CancelLosersMarksLaterBackendsCancelled) {
   EXPECT_EQ(select_winner(options.objective, results), 0);
 }
 
-TEST(Portfolio, OptimalBoundCancelsOnlyLaterBackends) {
-  // Feed the engine the true optimal cost as the early-exit bound: the first
-  // backend achieving it triggers cancellation of later ones, and the winner
-  // is still the unbudgeted winner.
-  const CartesianGrid grid({6, 8});
-  const NodeAllocation alloc = NodeAllocation::homogeneous(6, 8);
+TEST(Portfolio, ZeroFloorCancelsOnlyLaterBackends) {
+  // Single node, so every mapping costs the unbeatable (0, 0). "blocked"
+  // reaches it first and cancels only what is registered after it: the 10 s
+  // spinner. The 200 ms spinner registered before it keeps running, finishes
+  // uncancelled, and wins the tie by registration order.
+  MapperRegistry registry;
+  registry.add("early-slow",
+               [] { return std::make_unique<SlowMapper>(std::chrono::milliseconds(200)); });
+  registry.add("blocked", [] { return std::make_unique<BlockedMapper>(); });
+  registry.add("late-slow", [] { return std::make_unique<SlowMapper>(std::chrono::seconds(10)); });
+  const EngineOptions options = parallel_options();
+  PortfolioEngine engine(std::move(registry), options);
 
-  PortfolioEngine reference(MapperRegistry::with_default_backends(), sequential_options());
-  const auto ref_plan = reference.map(grid, nn(2), alloc);
-  MappingCost bound;
-  bound.jsum = ref_plan->jsum;
-  bound.jmax = ref_plan->jmax;
-
-  EngineOptions options = sequential_options();
-  options.optimal_bound = bound;
-  PortfolioEngine engine(defaults_plus_slow(std::chrono::seconds(10)), options);
-  const auto plan = engine.map(grid, nn(2), alloc);
-  EXPECT_EQ(plan->mapper, ref_plan->mapper);
-  EXPECT_EQ(plan->jsum, ref_plan->jsum);
-  EXPECT_EQ(plan->jmax, ref_plan->jmax);
+  const auto results =
+      engine.evaluate_all(CartesianGrid({4, 4}), nn(2), NodeAllocation::homogeneous(1, 16));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].cancelled);
+  EXPECT_TRUE(results[0].usable());
+  EXPECT_TRUE(results[1].usable());
+  EXPECT_TRUE(results[2].cancelled);
+  EXPECT_LT(results[2].remap_seconds, 5.0);
+  EXPECT_EQ(select_winner(options.objective, results), 0);
 }
 
 TEST(Portfolio, SeparatesRemapFromEvalSeconds) {
@@ -692,11 +680,10 @@ TEST(Portfolio, SeparatesRemapFromEvalSeconds) {
   }
 }
 
-TEST(Portfolio, MapAllPipelinedMatchesSerialLoop) {
-  // >= 8 instances (with a duplicate) through three paths: a sequential
-  // engine's map_all (the serial reference), a parallel engine's map() loop,
-  // and a parallel engine's pipelined map_all. All plans must be
-  // bit-identical.
+TEST(Portfolio, ParallelMapLoopMatchesSequentialLoop) {
+  // >= 8 instances (with a duplicate) through a sequential engine's map()
+  // loop (the reference) and a parallel engine's map() loop. All plans must
+  // be bit-identical.
   std::vector<Instance> instances = test_instances();
   instances.push_back({CartesianGrid({10, 4}), nn(2), NodeAllocation::homogeneous(8, 5)});
   instances.push_back({CartesianGrid({3, 3, 3}), nn(3), NodeAllocation({9, 9, 9})});
@@ -704,154 +691,52 @@ TEST(Portfolio, MapAllPipelinedMatchesSerialLoop) {
   ASSERT_GE(instances.size(), 8u);
 
   PortfolioEngine sequential(MapperRegistry::with_default_backends(), sequential_options());
-  PortfolioEngine loop(MapperRegistry::with_default_backends(), parallel_options());
-  PortfolioEngine pipelined(MapperRegistry::with_default_backends(), parallel_options());
-
-  const auto seq_plans = sequential.map_all(instances);
-  std::vector<std::shared_ptr<const MappingPlan>> loop_plans;
+  PortfolioEngine parallel(MapperRegistry::with_default_backends(), parallel_options());
+  std::vector<std::shared_ptr<const MappingPlan>> seq_plans, par_plans;
   for (const Instance& inst : instances) {
-    loop_plans.push_back(loop.map(inst.grid, inst.stencil, inst.alloc));
+    seq_plans.push_back(sequential.map(inst.grid, inst.stencil, inst.alloc));
+    par_plans.push_back(parallel.map(inst.grid, inst.stencil, inst.alloc));
   }
-  const auto pipe_plans = pipelined.map_all(instances);
-
-  ASSERT_EQ(seq_plans.size(), instances.size());
-  ASSERT_EQ(pipe_plans.size(), instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_EQ(*pipe_plans[i], *seq_plans[i]) << "instance " << i;
-    EXPECT_EQ(*pipe_plans[i], *loop_plans[i]) << "instance " << i;
+    EXPECT_EQ(*par_plans[i], *seq_plans[i]) << "instance " << i;
   }
-  // The duplicate resolves to the same cached object, exactly as in the
-  // serial loop.
-  EXPECT_EQ(pipe_plans.back().get(), pipe_plans.front().get());
+  // The duplicate resolves to the same cached object.
+  EXPECT_EQ(par_plans.back().get(), par_plans.front().get());
 }
 
-TEST(Portfolio, MapAllDrainsRunningRacesWhenOneInstanceFails) {
-  // Only one backend, and it always times out: instance 0's resolution
-  // throws while instance 1's task may still be queued or running. map_all
-  // must cancel and drain it before unwinding — under TSan/ASan this test
-  // is the use-after-free regression guard.
+TEST(RaceStage, DestructorCancelsAndDrainsUncollectedBackends) {
+  // A race scheduled on the pool but never collected (an exception unwound
+  // its caller) must cancel its running backends and wait for them before
+  // it and the instance they reference go away. Without the cancel the
+  // destructor waits out the 10 s spin; without the wait the backend reads
+  // freed memory (ASan reports it) and the pool's join waits out the spin.
   MapperRegistry registry;
   registry.add("slow", [] { return std::make_unique<SlowMapper>(std::chrono::seconds(10)); });
-  EngineOptions options = parallel_options();
-  options.backend_budget = std::chrono::milliseconds(10);
-  PortfolioEngine engine(std::move(registry), options);
+  const EngineOptions options = parallel_options();
+  PlanCache cache(options.cache_capacity);
+  BackendHistory history(options.history_capacity);
+  std::atomic<std::uint64_t> mapper_runs{0};
 
-  std::vector<Instance> instances;
-  instances.push_back({CartesianGrid({4, 4}), nn(2), NodeAllocation::homogeneous(4, 4)});
-  instances.push_back({CartesianGrid({6, 4}), nn(2), NodeAllocation::homogeneous(4, 6)});
-  instances.push_back({CartesianGrid({8, 4}), nn(2), NodeAllocation::homogeneous(8, 4)});
-  EXPECT_THROW(engine.map_all(instances), std::invalid_argument);
-}
-
-TEST(Portfolio, DisabledCacheNeverTouchesTheCacheFile) {
-  const std::string path = ::testing::TempDir() + "gridmap_cache_capacity0.txt";
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed = [start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
   {
-    PlanCache seeded(4);
-    seeded.put("k", make_plan("k"));
-    seeded.save(path);
-  }
-  {
-    EngineOptions options = sequential_options();
-    options.cache_capacity = 0;
-    options.cache_file = path;
-    PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-    (void)engine.map(CartesianGrid({4, 4}), nn(2), NodeAllocation::homogeneous(4, 4));
-  }  // destructor must not truncate the seeded file
-  PlanCache check(4);
-  EXPECT_EQ(check.load(path), 1u);
-  EXPECT_NE(check.get("k"), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(Portfolio, MapAllPipelinedWorksWithCacheDisabled) {
-  EngineOptions options = parallel_options();
-  options.cache_capacity = 0;
-  PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-  std::vector<Instance> instances = test_instances();
-  instances.push_back(instances.front());  // duplicate must not crash or stall
-  const auto plans = engine.map_all(instances);
-  ASSERT_EQ(plans.size(), instances.size());
-  EXPECT_EQ(*plans.back(), *plans.front());
-}
-
-// ------------------------------------------------------- cache persistence --
-
-TEST(PlanCache, SaveLoadRoundTripsPlansAndRecency) {
-  PlanCache cache(4);
-  cache.put("a", make_plan("a"));
-  cache.put("b", make_plan("b"));
-  cache.put("c", make_plan("c"));
-  ASSERT_NE(cache.get("a"), nullptr);  // recency now a > c > b
-
-  const std::string path = ::testing::TempDir() + "gridmap_cache_roundtrip.txt";
-  cache.save(path);
-
-  PlanCache reloaded(2);  // smaller: must keep the two most recent (a, c)
-  EXPECT_EQ(reloaded.load(path), 3u);
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_NE(reloaded.get("a"), nullptr);
-  EXPECT_NE(reloaded.get("c"), nullptr);
-  EXPECT_EQ(reloaded.get("b"), nullptr);  // evicted as least recent
-  std::remove(path.c_str());
-}
-
-TEST(PlanCache, LoadRejectsMalformedFiles) {
-  const std::string path = ::testing::TempDir() + "gridmap_cache_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "gridmap-plan v1\nsignature oops\n";  // truncated block
-  }
-  PlanCache cache(4);
-  EXPECT_THROW(cache.load(path), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(Portfolio, EngineWarmStartsFromPersistedCache) {
-  const std::string path = ::testing::TempDir() + "gridmap_engine_cache.txt";
-  std::remove(path.c_str());
-  const CartesianGrid grid({6, 8});
-  const NodeAllocation alloc = NodeAllocation::homogeneous(6, 8);
-
-  EngineOptions options = sequential_options();
-  options.cache_file = path;
-
-  std::shared_ptr<const MappingPlan> first;
-  {
-    PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-    first = engine.map(grid, nn(2), alloc);
-    EXPECT_GT(engine.mapper_runs(), 0u);
-  }  // destructor persists the cache
-
-  {
-    PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-    const auto warm = engine.map(grid, nn(2), alloc);
-    EXPECT_EQ(engine.mapper_runs(), 0u);  // served from the warm-started cache
-    EXPECT_EQ(engine.cache_stats().hits, 1u);
-    EXPECT_EQ(*warm, *first);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Portfolio, MissingOrCorruptCacheFileStartsCold) {
-  EngineOptions options = sequential_options();
-  options.cache_file = ::testing::TempDir() + "gridmap_engine_cache_missing.txt";
-  std::remove(options.cache_file.c_str());
-  EXPECT_NO_THROW(PortfolioEngine(MapperRegistry::with_default_backends(), options));
-
-  {
-    std::ofstream out(options.cache_file);
-    out << "this is not a plan cache\n";
-  }
-  // Corrupt warm-start is ignored; the engine still maps (and overwrites the
-  // file with a valid cache at shutdown).
-  {
-    PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-    EXPECT_NO_THROW(engine.map(CartesianGrid({4, 4}), nn(2),
-                               NodeAllocation::homogeneous(4, 4)));
-  }
-  PlanCache check(4);
-  EXPECT_EQ(check.load(options.cache_file), 1u);
-  std::remove(options.cache_file.c_str());
+    ThreadPool pool(2);
+    const StageEnv env{registry, options, cache, history, &pool, mapper_runs};
+    const auto inst = std::make_unique<Instance>(
+        Instance{CartesianGrid({4, 4}), nn(2), NodeAllocation::homogeneous(4, 4)});
+    const SelectorPass selection =
+        SelectorPass::run(env, inst->grid, inst->stencil, inst->alloc, nullptr);
+    auto race =
+        std::make_unique<RaceStage>(env, inst->grid, inst->stencil, inst->alloc, selection);
+    race->schedule();
+    // Destroy the race only once the spinner is inside remap.
+    while (mapper_runs.load() == 0 && elapsed() < 5.0) std::this_thread::yield();
+    ASSERT_EQ(mapper_runs.load(), 1u);
+    race.reset();
+  }  // ~ThreadPool joins its workers: no backend may still be spinning
+  EXPECT_LT(elapsed(), 5.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Fuzz-ish robustness tests for the engine's three text loaders: plan_io's
-// parse_plan, PlanCache::load, and BackendHistory::load. Malformed input —
+// Fuzz-ish robustness tests for the engine's two text loaders: plan_io's
+// parse_plan and BackendHistory::load. Malformed input —
 // truncations, garbage lines, wrong counts, duplicate keys, random byte
 // mutations — must fail *cleanly*: std::invalid_argument only (never a
 // crash or a foreign exception type), no partial state left behind, and the
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "engine/history.hpp"
-#include "engine/plan_cache.hpp"
 #include "engine/plan_io.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/wire.hpp"
@@ -32,9 +31,9 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-MappingPlan sample_plan(const std::string& signature = "g[4x4;p=00]|s[(0,1)]|a[4*4]|o=jsum") {
+MappingPlan sample_plan() {
   MappingPlan plan;
-  plan.signature = signature;
+  plan.signature = "g[4x4;p=00]|s[(0,1)]|a[4*4]|o=jsum";
   plan.mapper = "hyperplane";
   plan.objective = Objective::kJsum;
   plan.jsum = 42;
@@ -119,58 +118,6 @@ TEST(FuzzPlanIo, GarbageAndWrongCountsAreRejected) {
     text.replace(pos, 7, count);
     EXPECT_THROW(parse_plan(text), std::invalid_argument) << count;
   }
-}
-
-// -------------------------------------------------------------- plan cache --
-
-TEST(FuzzPlanCache, MalformedTailLeavesNoPartialState) {
-  // A valid block followed by garbage: load() must throw and the cache must
-  // stay exactly as it was — the valid prefix must NOT have been inserted.
-  const std::string path = temp_path("gridmap_fuzz_cache_tail.txt");
-  write_file(path, serialize_plan(sample_plan("first")) + "garbage tail\n");
-
-  PlanCache cache(8);
-  cache.put("existing", std::make_shared<MappingPlan>(sample_plan("existing")));
-  EXPECT_THROW(cache.load(path), std::invalid_argument);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.get("first"), nullptr) << "partial state: valid prefix was inserted";
-  EXPECT_NE(cache.get("existing"), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(FuzzPlanCache, TruncationLadderNeverLeavesPartialState) {
-  const std::string text =
-      serialize_plan(sample_plan("one")) + serialize_plan(sample_plan("two"));
-  const std::string path = temp_path("gridmap_fuzz_cache_trunc.txt");
-  for (std::size_t len = 0; len <= text.size(); len += 7) {
-    write_file(path, text.substr(0, len));
-    PlanCache cache(8);
-    try {
-      (void)cache.load(path);
-      // Whatever loaded parsed fully; size is the number of complete blocks.
-      EXPECT_LE(cache.size(), 2u);
-    } catch (const std::invalid_argument&) {
-      EXPECT_EQ(cache.size(), 0u) << "partial state after failed load (len " << len << ")";
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FuzzPlanCache, DuplicateSignaturesRefreshLikePut) {
-  // Duplicate keys in a cache file are not an error: the last block wins,
-  // mirroring put()'s refresh semantics.
-  MappingPlan second = sample_plan("dup");
-  second.mapper = "kdtree";
-  const std::string path = temp_path("gridmap_fuzz_cache_dup.txt");
-  write_file(path, serialize_plan(sample_plan("dup")) + serialize_plan(second));
-
-  PlanCache cache(8);
-  EXPECT_EQ(cache.load(path), 2u);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto plan = cache.get("dup");
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->mapper, "kdtree");
-  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------- history --
@@ -277,14 +224,12 @@ TEST(FuzzHistory, StoreStaysUsableAfterFailedLoads) {
 }
 
 TEST(FuzzEngine, EngineStaysUsableWithCorruptPersistenceFiles) {
-  // Both persistence files corrupt: the engine must construct, race, and
-  // shut down (rewriting both files) without ever throwing at the user.
+  // A corrupt history file: the engine must construct, race, and shut down
+  // (rewriting the file) without ever throwing at the user.
   EngineOptions options;
   options.threads = 1;
   options.max_backends = 3;
-  options.cache_file = temp_path("gridmap_fuzz_engine_cache.txt");
   options.history_file = temp_path("gridmap_fuzz_engine_history.txt");
-  write_file(options.cache_file, "not a cache\n");
   write_file(options.history_file, "not a history\n");
   {
     PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
@@ -292,12 +237,9 @@ TEST(FuzzEngine, EngineStaysUsableWithCorruptPersistenceFiles) {
                                  NodeAllocation::homogeneous(4, 4));
     ASSERT_NE(plan, nullptr);
   }
-  // Shutdown rewrote both files with valid contents.
-  PlanCache cache(8);
-  EXPECT_EQ(cache.load(options.cache_file), 1u);
+  // Shutdown rewrote the file with valid contents.
   BackendHistory history(8);
   EXPECT_GT(history.load(options.history_file), 0u);
-  std::remove(options.cache_file.c_str());
   std::remove(options.history_file.c_str());
 }
 

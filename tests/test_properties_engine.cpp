@@ -263,54 +263,5 @@ TEST(EngineProperties, BackendSpecificApplicableGuardsHold) {
                   ->applicable(grid, s, NodeAllocation::homogeneous(4, 6)));
 }
 
-TEST(EngineProperties, IncrementalApplyMoveFoldEqualsFullEvaluation) {
-  // Property (4), the hot-path pass: any sequence of single-cell ownership
-  // moves folded through IncrementalEval::apply_move must land on exactly
-  // the MappingCost a from-scratch evaluation of the final ownership vector
-  // reports — including jmax after the bottleneck node loses edges, which
-  // exercises the lazy repair path.
-  std::mt19937 rng(kSeed + 4);
-  for (int round = 0; round < kRounds; ++round) {
-    const RandomInstance ri = random_instance(rng);
-    const auto& [grid, stencil, alloc] = ri.instance;
-    SCOPED_TRACE(ri.description);
-    const int num_nodes = alloc.num_nodes();
-    if (num_nodes < 2) continue;
-
-    std::vector<NodeId> nodes = Remapping::identity(grid).node_of_cell(alloc);
-    IncrementalEval inc(grid, stencil, nodes, num_nodes);
-
-    std::uniform_int_distribution<std::int64_t> cell_dist(0, grid.size() - 1);
-    std::uniform_int_distribution<int> node_dist(0, num_nodes - 1);
-    const int moves = std::uniform_int_distribution<int>(1, 40)(rng);
-    for (int m = 0; m < moves; ++m) {
-      Cell cell = cell_dist(rng);
-      NodeId to = node_dist(rng);
-      // Every few moves, deliberately drain the current bottleneck so jmax
-      // must shrink — the case a stale maximum would get wrong.
-      if (m % 5 == 4) {
-        const NodeId hot = inc.cost().bottleneck;
-        for (std::int64_t c = 0; c < grid.size(); ++c) {
-          if (inc.node_of_cell()[static_cast<std::size_t>(c)] == hot) {
-            cell = c;
-            to = (hot + 1) % num_nodes;
-            break;
-          }
-        }
-      }
-      inc.apply_move(cell, to);
-    }
-
-    const MappingCost fresh =
-        evaluate_mapping(grid, stencil, inc.node_of_cell(), num_nodes);
-    const MappingCost& folded = inc.cost();
-    EXPECT_EQ(folded.jsum, fresh.jsum);
-    EXPECT_EQ(folded.jmax, fresh.jmax);
-    EXPECT_EQ(folded.bottleneck, fresh.bottleneck);
-    EXPECT_EQ(folded.out_edges, fresh.out_edges);
-    EXPECT_EQ(folded.intra_edges, fresh.intra_edges);
-  }
-}
-
 }  // namespace
 }  // namespace gridmap::engine

@@ -442,27 +442,6 @@ TEST(AdaptiveEngine, ColdStartRaceIsBitIdenticalToPlainEngine) {
   }
 }
 
-TEST(AdaptiveEngine, ColdMapAllIsBitIdenticalToPlainEngine) {
-  // One batch through map_all: the batch snapshot is taken before anything
-  // is recorded, so the entire cold batch races unpruned.
-  std::vector<Instance> instances = test_instances();
-  instances.push_back(instances.front());  // duplicate
-
-  EngineOptions adaptive = selecting_options(4, 3);
-  adaptive.adaptive_budgets = true;
-  PortfolioEngine selecting(MapperRegistry::with_default_backends(), adaptive);
-  EngineOptions plain;
-  plain.threads = 4;
-  PortfolioEngine reference(MapperRegistry::with_default_backends(), plain);
-
-  const auto selected = selecting.map_all(instances);
-  const auto referenced = reference.map_all(instances);
-  ASSERT_EQ(selected.size(), referenced.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    EXPECT_EQ(*selected[i], *referenced[i]) << "instance " << i;
-  }
-}
-
 TEST(AdaptiveEngine, WarmedPruningKeepsTheTrueWinnerPerInstance) {
   // Regression pin: warm the history with exactly one full race of the
   // instance, then race again with aggressive pruning — the winner must be
@@ -518,11 +497,12 @@ TEST(AdaptiveEngine, SelectionDeterministicAcrossEnginesWithSameHistory) {
     EngineOptions options = selecting_options(4, 0);
     options.history_file = path;
     PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
-    (void)engine.map_all(instances);
+    for (const Instance& inst : instances) (void)engine.map(inst.grid, inst.stencil, inst.alloc);
   }
 
-  // Two fresh engines loading the identical history must select and map
-  // identically (fixed snapshot => deterministic selection).
+  // Two fresh engines loading the identical history must select and map the
+  // same request sequence identically (same snapshot per request =>
+  // deterministic selection).
   std::vector<std::shared_ptr<const MappingPlan>> first, second;
   for (int round = 0; round < 2; ++round) {
     EngineOptions options = selecting_options(4, 3);
@@ -531,7 +511,9 @@ TEST(AdaptiveEngine, SelectionDeterministicAcrossEnginesWithSameHistory) {
     PortfolioEngine engine(MapperRegistry::with_default_backends(), options);
     ASSERT_GT(engine.history().load(path), 0u);
     auto& plans = round == 0 ? first : second;
-    plans = engine.map_all(instances);
+    for (const Instance& inst : instances) {
+      plans.push_back(engine.map(inst.grid, inst.stencil, inst.alloc));
+    }
   }
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -625,7 +607,7 @@ TEST(AdaptiveEngine, RefreshSampleRacesFullDespiteWarmHistory) {
   // backends recover. full_race_every = 1 puts every instance in the
   // sample (warmed race must not prune); 0 disables it (warmed race must
   // prune). The decision is per-instance, so it is identical across
-  // engines and the sequential/pipelined map_all paths.
+  // engines.
   const Instance inst = test_instances().front();
   for (const std::uint32_t every : {std::uint32_t{1}, std::uint32_t{0}}) {
     EngineOptions options = selecting_options(1, 2);

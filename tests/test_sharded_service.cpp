@@ -306,36 +306,6 @@ TEST(ShardedService, MapperRunsAndCacheStatsSumOverShards) {
 
 // -------------------------------------------------- per-shard persistence --
 
-TEST(ShardedService, PerShardCacheFilesPersistAndWarmStartTheSameShards) {
-  const std::string cache_path = temp_path("gridmap_sharded_cache.txt");
-  for (int s = 0; s < 3; ++s) std::remove(ShardedService::shard_file(cache_path, s).c_str());
-
-  EngineOptions engine_options;
-  engine_options.cache_file = cache_path;
-  const std::vector<Instance> instances = {instance_2d(4, 6), instance_2d(6, 4),
-                                           instance_2d(5, 5), instance_2d(7, 4)};
-  {
-    ShardedService service(tiny_registry(), engine_options, {}, 3);
-    for (const Instance& inst : instances) ASSERT_NE(submit(service, inst).get(), nullptr);
-  }  // destructor persists each shard's cache to its own file
-
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_TRUE(file_exists(ShardedService::shard_file(cache_path, s)))
-        << ShardedService::shard_file(cache_path, s);
-  }
-  // The undecorated path is never written — shards do not race on one file.
-  EXPECT_FALSE(file_exists(cache_path));
-
-  // A restarted service warms every shard: all four instances come from the
-  // cache without a single mapper run.
-  ShardedService warmed(tiny_registry(), engine_options, {}, 3);
-  for (const Instance& inst : instances) ASSERT_NE(submit(warmed, inst).get(), nullptr);
-  EXPECT_EQ(warmed.mapper_runs(), 0u);
-  EXPECT_EQ(warmed.counters().cache_hits, instances.size());
-
-  for (int s = 0; s < 3; ++s) std::remove(ShardedService::shard_file(cache_path, s).c_str());
-}
-
 TEST(ShardedService, PerShardHistoryFilesPersistIndependently) {
   const std::string history_path = temp_path("gridmap_sharded_history.txt");
   for (int s = 0; s < 2; ++s) {
